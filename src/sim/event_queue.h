@@ -175,18 +175,6 @@ class EventQueue {
     return heap_.size() + (ready_.size() - ready_head_);
   }
 
-  /// Packed (t << 64) | seq key of the earliest event; queue must be
-  /// non-empty. Used for the deterministic k-way merge across per-LP
-  /// queues: comparing packed keys across queues picks the exact event
-  /// the single-queue engine would pop next.
-  unsigned __int128 top_key() const {
-    if (ready_head_ != ready_.size() &&
-        (heap_.empty() || ready_[ready_head_].key < heap_.front().key)) {
-      return ready_[ready_head_].key;
-    }
-    return heap_.front().key;
-  }
-
   /// Time of the earliest event; queue must be non-empty.
   TimeNs top_time() const {
     if (ready_head_ != ready_.size() &&

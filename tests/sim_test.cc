@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/trace_context.h"
 #include "sim/channel.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -152,6 +153,57 @@ TEST(SimulationDeathTest, AfterOverflowingTheClockIsFatal) {
   sim.Run();
   EXPECT_DEATH(sim.After(std::numeric_limits<TimeNs>::max(), [] {}),
                "overflows the virtual clock");
+}
+
+TEST(SimulationDeathTest, RunForOverflowingTheClockIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulation sim;
+  sim.At(100, [] {});
+  sim.Run();
+  // now + duration would be signed-overflow UB; RunFor must reject it
+  // with the same check After() uses instead of computing it.
+  EXPECT_DEATH(sim.RunFor(std::numeric_limits<TimeNs>::max()),
+               "overflows the virtual clock");
+}
+
+Task<> AwaitDelay(TimeNs d) { co_await Delay(d); }
+
+TEST(SimulationDeathTest, DelayOverflowingTheClockIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulation sim;
+  sim.At(100, [] {});
+  sim.Run();
+  sim.Spawn(AwaitDelay(std::numeric_limits<TimeNs>::max()));
+  EXPECT_DEATH(sim.Run(), "overflows the virtual clock");
+}
+
+// Every dispatch starts from a clean ambient trace context. Three probe
+// chains tick on the same 7 ns grid, so at each instant their events run
+// back to back; each one checks it starts clean, then deliberately
+// pollutes the ambient slot with its own mark. A leak would stitch one
+// chain's spans into another chain's trace.
+void ContextProbe(Simulation* sim, uint64_t mark, int left, int* dirty) {
+  if (obs::CurrentTraceContext().valid()) ++*dirty;
+  obs::TraceContext ctx;
+  ctx.trace_id = mark;
+  ctx.span_id = mark;
+  obs::SetCurrentTraceContext(ctx);
+  if (left > 0) {
+    sim->After(7, [sim, mark, left, dirty] {
+      ContextProbe(sim, mark, left - 1, dirty);
+    });
+  }
+}
+
+TEST(SimulationTest, TraceContextStartsCleanEveryDispatch) {
+  Simulation sim;
+  int dirty = 0;
+  for (uint64_t mark = 100; mark < 103; ++mark) {
+    sim.At(0, [&sim, mark, &dirty] { ContextProbe(&sim, mark, 300, &dirty); });
+  }
+  sim.Run();
+  EXPECT_EQ(sim.executed_events(), 3u * 301u);
+  EXPECT_EQ(dirty, 0);
 }
 
 TEST(SimulationTest, AfterClampsNegativeDelayToNow) {

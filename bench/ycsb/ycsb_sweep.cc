@@ -21,7 +21,10 @@
 // running every point twice and comparing metric fingerprints.
 //
 // Reported per point: goodput (committed txns), p50/p99/p999 txn
-// latency, commit/abort/retry counters. Per series: the saturation knee
+// latency and offered/completed/failed over the measurement window, plus
+// a "run_totals" object with the commit/lock-abort/retry counters summed
+// over the whole run, warmup included (so a point can show completed 0
+// next to a nonzero committed). Per series: the saturation knee
 // (first rate whose p99 blows past 3x the lightest rate's p99 or whose
 // goodput falls under 95% of offered). Everything lands in
 // BENCH_ycsb.json (override with DMRPC_YCSB_JSON).
@@ -339,9 +342,9 @@ void WriteJson(const Options& opt, const std::vector<Series>& series,
           "      {\"offered_krps\": %g, \"goodput_krps\": %.2f, "
           "\"p50_us\": %.2f, \"p99_us\": %.2f, \"p999_us\": %.2f, "
           "\"offered\": %" PRIu64 ", \"completed\": %" PRIu64
-          ", \"failed\": %" PRIu64 ", \"committed\": %" PRIu64
+          ", \"failed\": %" PRIu64 ", \"run_totals\": {\"committed\": %" PRIu64
           ", \"lock_aborts\": %" PRIu64 ", \"retries\": %" PRIu64
-          ", \"metrics_fingerprint\": \"%016" PRIx64 "\"}%s\n",
+          "}, \"metrics_fingerprint\": \"%016" PRIx64 "\"}%s\n",
           p.offered_krps, p.goodput_krps, p.p50_us, p.p99_us, p.p999_us,
           p.offered, p.completed, p.failed, p.committed, p.lock_aborts,
           p.retries, p.fingerprint, i + 1 < sr.points.size() ? "," : "");

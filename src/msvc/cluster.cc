@@ -149,11 +149,7 @@ Cluster::Cluster(sim::Simulation* sim, ClusterConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)) {
   DMRPC_CHECK_GT(cfg_.num_nodes, 0u);
   cfg_.topology.num_hosts = cfg_.num_nodes;
-  if (cfg_.topology.kind == net::TopologyKind::kClos) {
-    fabric_ = std::make_unique<net::Fabric>(sim_, cfg_.network, cfg_.topology);
-  } else {
-    fabric_ = std::make_unique<net::Fabric>(sim_, cfg_.network, cfg_.num_nodes);
-  }
+  fabric_ = std::make_unique<net::Fabric>(sim_, cfg_.network, cfg_.topology);
   node_meters_.resize(cfg_.num_nodes);
 
   if (cfg_.backend == Backend::kDmNet) {

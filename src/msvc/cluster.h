@@ -47,9 +47,9 @@ struct ClusterConfig {
 
   net::NetworkConfig network;
   /// Switch graph the hosts hang off. Defaults to the seed single-ToR
-  /// model; set kind = kClos (e.g. via TopologyConfig::Clos) for a
-  /// spine/leaf fabric. num_hosts is overridden with num_nodes at
-  /// construction so the two can never disagree.
+  /// rack (one leaf, no spines); use TopologyConfig::Clos for a
+  /// multi-leaf spine/leaf fabric. num_hosts is overridden with num_nodes
+  /// at construction so the two can never disagree.
   net::TopologyConfig topology;
   mem::MemoryConfig memory;
   rpc::RpcConfig rpc;

@@ -43,30 +43,16 @@ const char* DropReasonName(DropReason reason) {
 }
 
 void Fabric::TraceSlow(TraceStage stage, const Packet& pkt) {
-  if (sim_->tracer().enabled()) {
-    // Tx-side stages land on the sender's lane, the rest on the receiver's.
-    uint32_t track =
-        (stage == TraceStage::kNicTx || stage == TraceStage::kOnWire)
-            ? pkt.src
-            : pkt.dst;
-    sim_->tracer().Instant(
-        pkt.trace, "net", std::string("net.pkt.") + TraceStageName(stage),
-        sim_->Now(), track,
-        "{\"pkt\":" + std::to_string(pkt.id) + ",\"src\":" +
-            std::to_string(pkt.src) + ",\"dst\":" + std::to_string(pkt.dst) +
-            ",\"bytes\":" + std::to_string(pkt.payload_size()) + "}");
-  }
-  if (!trace_) return;
-  TraceEvent ev;
-  ev.time = sim_->Now();
-  ev.stage = stage;
-  ev.packet_id = pkt.id;
-  ev.src = pkt.src;
-  ev.dst = pkt.dst;
-  ev.src_port = pkt.src_port;
-  ev.dst_port = pkt.dst_port;
-  ev.bytes = static_cast<uint32_t>(pkt.payload_size());
-  trace_(ev);
+  // Tx-side stages land on the sender's lane, the rest on the receiver's.
+  uint32_t track =
+      (stage == TraceStage::kNicTx || stage == TraceStage::kOnWire) ? pkt.src
+                                                                    : pkt.dst;
+  sim_->tracer().Instant(
+      pkt.trace, "net", std::string("net.pkt.") + TraceStageName(stage),
+      sim_->Now(), track,
+      "{\"pkt\":" + std::to_string(pkt.id) + ",\"src\":" +
+          std::to_string(pkt.src) + ",\"dst\":" + std::to_string(pkt.dst) +
+          ",\"bytes\":" + std::to_string(pkt.payload_size()) + "}");
 }
 
 obs::Counter* Fabric::DropReasonCounter(DropReason reason) {
@@ -98,18 +84,6 @@ Fabric::Fabric(sim::Simulation* sim, const NetworkConfig& cfg,
         DropReasonName(static_cast<DropReason>(i)));
   }
   nics_.reserve(topo_.num_hosts);
-  if (topo_.kind == TopologyKind::kSingleTor) {
-    // The seed rack: this construction sequence (and the event/rng
-    // schedule it implies) must stay byte-identical to the pre-topology
-    // fabric.
-    egress_queues_.reserve(topo_.num_hosts);
-    for (uint32_t i = 0; i < topo_.num_hosts; ++i) {
-      nics_.push_back(std::make_unique<Nic>(sim_, this, i, cfg_));
-      egress_queues_.push_back(std::make_unique<sim::Channel<Packet>>());
-      sim_->Spawn(EgressPump(i));
-    }
-    return;
-  }
   for (uint32_t i = 0; i < topo_.num_hosts; ++i) {
     nics_.push_back(std::make_unique<Nic>(sim_, this, i, cfg_));
   }
@@ -117,8 +91,9 @@ Fabric::Fabric(sim::Simulation* sim, const NetworkConfig& cfg,
 }
 
 void Fabric::BuildClos() {
-  DMRPC_CHECK_GT(topo_.num_spines, 0u);
   DMRPC_CHECK_GT(topo_.num_leaves, 0u);
+  DMRPC_CHECK(topo_.num_spines > 0 || topo_.num_leaves == 1)
+      << "leaves need spines between them";
   DMRPC_CHECK_LE(topo_.num_leaves, topo_.num_hosts)
       << "more leaves than hosts";
   m_spine_hops_ = sim_->metrics().GetCounter("net.fabric.spine_hops");
@@ -126,12 +101,19 @@ void Fabric::BuildClos() {
   m_port_enqueued_ = sim_->metrics().GetCounter("net.fabric.port_enqueued");
   m_max_port_depth_ = sim_->metrics().GetGauge("net.fabric.max_port_depth");
   uint32_t hpl = topo_.HostsPerLeaf();
+  first_up_port_ = hpl;
+  leaf_of_.resize(topo_.num_hosts);
+  down_port_.resize(topo_.num_hosts);
+  for (NodeId h = 0; h < topo_.num_hosts; ++h) {
+    leaf_of_[h] = h / hpl;
+    down_port_[h] = h % hpl;
+  }
+  // Switch egress lanes sit above the node lanes in the trace.
   uint32_t next_track = 1000;
   switches_.resize(topo_.NumSwitches());
   for (uint32_t l = 0; l < topo_.num_leaves; ++l) {
     SwitchNode& sw = switches_[l];
     sw.is_spine = false;
-    sw.index = l;
     // Down-ports for every host slot (ragged tail slots exist but never
     // see traffic), then one up-port per spine.
     sw.ports.resize(hpl + topo_.num_spines);
@@ -143,7 +125,6 @@ void Fabric::BuildClos() {
   for (uint32_t s = 0; s < topo_.num_spines; ++s) {
     SwitchNode& sw = switches_[topo_.FirstSpine() + s];
     sw.is_spine = true;
-    sw.index = s;
     sw.ports.resize(topo_.num_leaves);
     for (auto& p : sw.ports) {
       p = std::make_unique<PortQueue>();
@@ -161,22 +142,16 @@ void Fabric::BuildClos() {
 
 void Fabric::SetSwitchUp(SwitchId sw, bool up) {
   DMRPC_CHECK_LT(sw, num_switches());
-  if (topo_.kind == TopologyKind::kSingleTor) {
-    tor_up_ = up;
-    return;
-  }
   switches_[sw].up = up;
 }
 
 bool Fabric::switch_up(SwitchId sw) const {
   DMRPC_CHECK_LT(sw, num_switches());
-  if (topo_.kind == TopologyKind::kSingleTor) return tor_up_;
   return switches_[sw].up;
 }
 
 SwitchId Fabric::SpineForFlow(NodeId src, Port src_port, NodeId dst,
                               Port dst_port) const {
-  DMRPC_CHECK(topo_.kind == TopologyKind::kClos);
   uint32_t live = 0;
   for (uint32_t s = 0; s < topo_.num_spines; ++s) {
     if (switches_[topo_.FirstSpine() + s].up) live++;
@@ -213,67 +188,10 @@ std::vector<PortStat> Fabric::PortStats() const {
 }
 
 void Fabric::SendToSwitch(Packet pkt) {
-  if (topo_.kind == TopologyKind::kClos) {
-    // Cable from host to its leaf.
-    sim_->After(cfg_.link_propagation_ns, [this, p = std::move(pkt)]() mutable {
-      ClosHostIngress(std::move(p));
-    });
-    return;
-  }
-  // Cable from host to switch.
-  sim_->After(cfg_.link_propagation_ns,
-              [this, p = std::move(pkt)]() mutable { SwitchIngress(std::move(p)); });
-}
-
-void Fabric::SwitchIngress(Packet pkt) {
-  if (pkt.dst >= num_nodes()) {
-    switch_stats_.dropped_unknown_dst++;
-    CountDrop(DropReason::kUnknownDst, pkt);
-    return;
-  }
-  if (!tor_up_) {
-    switch_stats_.dropped_switch_down++;
-    CountDrop(DropReason::kOutage, pkt);
-    return;
-  }
-  if (drop_filter_ && drop_filter_(pkt)) {
-    switch_stats_.dropped_loss++;
-    CountDrop(DropReason::kLoss, pkt);
-    return;
-  }
-  // Legacy uniform-loss shim (kept ahead of the fault hook so existing
-  // seeded tests observe the exact same rng draw sequence).
-  if (cfg_.loss_probability > 0.0 &&
-      sim_->rng().Bernoulli(cfg_.loss_probability)) {
-    switch_stats_.dropped_loss++;
-    CountDrop(DropReason::kLoss, pkt);
-    return;
-  }
-  if (fault_hook_ != nullptr) {
-    // Uplink traversal: the sender's host->switch cable.
-    if (!fault_hook_->IsLinkUp(pkt.src, LinkDir::kUplink)) {
-      DropFaulted(pkt, /*link_down=*/true);
-      return;
-    }
-    FaultAction act = fault_hook_->OnPacket(pkt.src, LinkDir::kUplink, pkt);
-    if (act.drop) {
-      DropFaulted(pkt, /*link_down=*/false);
-      return;
-    }
-    if (act.duplicate) {
-      switch_stats_.duplicated_fault++;
-      egress_queues_[pkt.dst]->Push(ClonePacket(pkt));
-    }
-    if (act.extra_delay_ns > 0) {
-      // Reordering: this packet re-enters the egress queue late, so
-      // traffic behind it overtakes.
-      sim_->After(act.extra_delay_ns, [this, p = std::move(pkt)]() mutable {
-        egress_queues_[p.dst]->Push(std::move(p));
-      });
-      return;
-    }
-  }
-  egress_queues_[pkt.dst]->Push(std::move(pkt));
+  // Cable from host to its leaf.
+  sim_->After(cfg_.link_propagation_ns, [this, p = std::move(pkt)]() mutable {
+    ClosHostIngress(std::move(p));
+  });
 }
 
 Packet Fabric::ClonePacket(const Packet& pkt) {
@@ -305,74 +223,18 @@ void Fabric::DropFaulted(const Packet& pkt, bool link_down) {
   }
 }
 
-sim::Task<> Fabric::EgressPump(NodeId port) {
-  sim::Channel<Packet>* queue = egress_queues_[port].get();
-  for (;;) {
-    Packet pkt = co_await queue->Pop();
-    if (!tor_up_) {
-      // The switch lost power with this packet buffered.
-      switch_stats_.dropped_switch_down++;
-      CountDrop(DropReason::kOutage, pkt);
-      continue;
-    }
-    // The egress port is occupied only while the packet serializes onto
-    // the cable; the forwarding-pipeline latency and propagation delay
-    // are pipelined (they add delivery delay, not port occupancy).
-    TimeNs serialize =
-        TransferNs(cfg_.WireBytes(pkt.payload_size()), cfg_.bytes_per_ns());
-    uint64_t span = 0;
-    if (sim_->tracer().enabled()) {
-      // Switch egress lanes sit above the node lanes in the trace
-      // (track = 1000 + egress port; see docs/ARCHITECTURE.md).
-      span = sim_->tracer().BeginSpan(
-          pkt.trace, "net", "net.switch_egress", sim_->Now(), 1000 + port,
-          "{\"pkt\":" + std::to_string(pkt.id) + "}");
-    }
-    co_await sim::Delay(serialize);
-    sim_->tracer().EndSpan(span, sim_->Now());
-    switch_stats_.forwarded++;
-    m_forwarded_->Inc();
-    Trace(TraceStage::kForwarded, pkt);
-    NodeId dst = pkt.dst;
-    TimeNs extra = 0;
-    if (fault_hook_ != nullptr) {
-      // Downlink traversal: the receiver's switch->host cable.
-      if (!fault_hook_->IsLinkUp(dst, LinkDir::kDownlink)) {
-        DropFaulted(pkt, /*link_down=*/true);
-        continue;
-      }
-      FaultAction act = fault_hook_->OnPacket(dst, LinkDir::kDownlink, pkt);
-      if (act.drop) {
-        DropFaulted(pkt, /*link_down=*/false);
-        continue;
-      }
-      if (act.duplicate) {
-        switch_stats_.duplicated_fault++;
-        sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                    [this, dst, p = ClonePacket(pkt)]() mutable {
-                      Trace(TraceStage::kDelivered, p);
-                      nics_[dst]->Deliver(std::move(p));
-                    });
-      }
-      extra = act.extra_delay_ns;
-    }
-    sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns + extra,
-                [this, dst, p = std::move(pkt)]() mutable {
-                  Trace(TraceStage::kDelivered, p);
-                  nics_[dst]->Deliver(std::move(p));
-                });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Clos path
-// ---------------------------------------------------------------------------
-
 void Fabric::ClosHostIngress(Packet pkt) {
-  uint32_t leaf = topo_.LeafOf(pkt.src);
   if (pkt.dst >= num_nodes()) {
     switch_stats_.dropped_unknown_dst++;
     CountDrop(DropReason::kUnknownDst, pkt);
+    return;
+  }
+  uint32_t leaf = leaf_of_[pkt.src];
+  // A dead leaf drops before anything else looks at the packet, so an
+  // outage consumes no loss draw and no fault-hook decision.
+  if (!switches_[leaf].up) {
+    switch_stats_.dropped_switch_down++;
+    CountDrop(DropReason::kOutage, pkt);
     return;
   }
   if (drop_filter_ && drop_filter_(pkt)) {
@@ -380,6 +242,8 @@ void Fabric::ClosHostIngress(Packet pkt) {
     CountDrop(DropReason::kLoss, pkt);
     return;
   }
+  // Legacy uniform-loss shim, ahead of the fault hook so seeded runs keep
+  // their rng draw sequence.
   if (cfg_.loss_probability > 0.0 &&
       sim_->rng().Bernoulli(cfg_.loss_probability)) {
     switch_stats_.dropped_loss++;
@@ -402,6 +266,8 @@ void Fabric::ClosHostIngress(Packet pkt) {
       ClosRouteAtLeaf(leaf, ClonePacket(pkt));
     }
     if (act.extra_delay_ns > 0) {
+      // Reordering: this packet reaches the leaf late, so traffic behind
+      // it overtakes. Re-entry re-checks the leaf's liveness.
       sim_->After(act.extra_delay_ns,
                   [this, leaf, p = std::move(pkt)]() mutable {
                     ClosRouteAtLeaf(leaf, std::move(p));
@@ -418,10 +284,9 @@ void Fabric::ClosRouteAtLeaf(uint32_t leaf, Packet pkt) {
     CountDrop(DropReason::kOutage, pkt);
     return;
   }
-  uint32_t dst_leaf = topo_.LeafOf(pkt.dst);
-  if (dst_leaf == leaf) {
+  if (leaf_of_[pkt.dst] == leaf) {
     m_leaf_local_->Inc();
-    ClosEnqueue(leaf, pkt.dst % topo_.HostsPerLeaf(), std::move(pkt));
+    ClosEnqueue(leaf, down_port_[pkt.dst], std::move(pkt));
     return;
   }
   SwitchId spine = SpineForFlow(pkt.src, pkt.src_port, pkt.dst, pkt.dst_port);
@@ -431,9 +296,8 @@ void Fabric::ClosRouteAtLeaf(uint32_t leaf, Packet pkt) {
     CountDrop(DropReason::kOutage, pkt);
     return;
   }
-  uint32_t up_port =
-      topo_.HostsPerLeaf() + (spine - topo_.FirstSpine());
-  ClosEnqueue(leaf, up_port, std::move(pkt));
+  ClosEnqueue(leaf, first_up_port_ + (spine - topo_.FirstSpine()),
+              std::move(pkt));
 }
 
 void Fabric::ClosSpineIngress(uint32_t spine, Packet pkt) {
@@ -444,7 +308,7 @@ void Fabric::ClosSpineIngress(uint32_t spine, Packet pkt) {
     return;
   }
   m_spine_hops_->Inc();
-  ClosEnqueue(sw, topo_.LeafOf(pkt.dst), std::move(pkt));
+  ClosEnqueue(sw, leaf_of_[pkt.dst], std::move(pkt));
 }
 
 void Fabric::ClosLeafFromSpine(uint32_t leaf, Packet pkt) {
@@ -453,7 +317,7 @@ void Fabric::ClosLeafFromSpine(uint32_t leaf, Packet pkt) {
     CountDrop(DropReason::kOutage, pkt);
     return;
   }
-  ClosEnqueue(leaf, pkt.dst % topo_.HostsPerLeaf(), std::move(pkt));
+  ClosEnqueue(leaf, down_port_[pkt.dst], std::move(pkt));
 }
 
 void Fabric::ClosEnqueue(SwitchId sw, uint32_t port, Packet pkt) {
@@ -480,7 +344,7 @@ void Fabric::ClosEnqueue(SwitchId sw, uint32_t port, Packet pkt) {
 sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
   SwitchNode* node = &switches_[sw];
   PortQueue* pq = node->ports[port].get();
-  bool to_host = !node->is_spine && port < topo_.HostsPerLeaf();
+  bool to_host = !node->is_spine && port < first_up_port_;
   for (;;) {
     Packet pkt = co_await pq->queue.Pop();
     if (!node->up) {
@@ -492,6 +356,9 @@ sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
     }
     TimeNs serialize =
         TransferNs(cfg_.WireBytes(pkt.payload_size()), cfg_.bytes_per_ns());
+    // The egress port is occupied only while the packet serializes onto
+    // the cable; the forwarding-pipeline latency and propagation delay
+    // are pipelined (they add delivery delay, not port occupancy).
     uint64_t span = 0;
     if (sim_->tracer().enabled()) {
       span = sim_->tracer().BeginSpan(
@@ -513,7 +380,7 @@ sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
                       ClosLeafFromSpine(leaf, std::move(p));
                     });
       } else {
-        uint32_t spine = port - topo_.HostsPerLeaf();
+        uint32_t spine = port - first_up_port_;
         sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
                     [this, spine, p = std::move(pkt)]() mutable {
                       ClosSpineIngress(spine, std::move(p));

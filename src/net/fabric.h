@@ -37,9 +37,9 @@ struct SwitchStats {
 };
 
 /// Why the fabric (or the receiving NIC) discarded a packet. Each reason
-/// owns a distinct `net.drop_reason.<name>` counter, registered lazily on
-/// the first drop of that kind so drop-free runs dump byte-identical
-/// metrics to the pre-reason era.
+/// owns a distinct `net.drop_reason.<name>` counter, registered eagerly
+/// by the fabric constructor so every dump carries all of them (zeros
+/// when a reason never fired).
 enum class DropReason : uint8_t {
   kQueueFull = 0,   // finite egress port queue overflowed
   kFcsBad = 1,      // corrupted frame failed the NIC FCS check
@@ -53,7 +53,8 @@ inline constexpr int kNumDropReasons = 6;
 
 const char* DropReasonName(DropReason reason);
 
-/// Stages of a packet's life, in order, as reported to a trace sink.
+/// Stages of a packet's life, in order. Each one is recorded as a
+/// `net.pkt.<name>` tracer instant while the simulation's tracer is on.
 enum class TraceStage : uint8_t {
   kNicTx = 0,     // accepted by the sender's NIC queue
   kOnWire = 1,    // serialized onto the cable towards the switch
@@ -64,23 +65,7 @@ enum class TraceStage : uint8_t {
 
 const char* TraceStageName(TraceStage stage);
 
-/// One trace event; the sink receives every stage of every packet while
-/// tracing is enabled. Useful for protocol debugging and for asserting
-/// latency decompositions in tests.
-struct TraceEvent {
-  TimeNs time = 0;
-  TraceStage stage = TraceStage::kNicTx;
-  uint64_t packet_id = 0;
-  NodeId src = kInvalidNode;
-  NodeId dst = kInvalidNode;
-  Port src_port = 0;
-  Port dst_port = 0;
-  uint32_t bytes = 0;
-};
-
-using TraceSink = std::function<void(const TraceEvent&)>;
-
-/// Per-port accounting of one switch egress queue (Clos mode).
+/// Per-port accounting of one switch egress queue.
 struct PortStat {
   SwitchId switch_id = kInvalidSwitch;
   bool is_spine = false;
@@ -92,28 +77,25 @@ struct PortStat {
 };
 
 /// The simulated datacenter network: `TopologyConfig::num_hosts` hosts,
-/// each with one NIC, connected through a switch graph described by the
-/// topology.
+/// each with one NIC, connected through a spine/leaf switch graph
+/// described by the topology. The paper's rack (one ToR) is the
+/// one-leaf, zero-spine case of the same graph.
 ///
-/// Single-ToR packet path (the paper's rack, and the seed model):
+/// Packet path (docs/TOPOLOGY.md):
 ///   sender NIC TX pump (serialize at link rate + NIC overhead)
 ///   -> cable (propagation)
-///   -> switch ingress -> egress port queue (serialize at link rate,
-///      + switch forwarding latency, loss injection here)
-///   -> cable (propagation)
-///   -> receiver NIC demux (+ NIC overhead)
+///   -> leaf ingress (loss injection and uplink faults here)
+///   -> per switch hop: egress port queue (serialize at link rate)
+///      + switch forwarding latency + cable (propagation)
+///   -> receiver NIC demux
 ///
-/// Clos packet path (docs/TOPOLOGY.md): the same stages repeated per
-/// switch hop. Same-leaf traffic crosses one leaf; inter-leaf traffic
-/// crosses leaf -> ECMP-chosen spine -> leaf, each hop paying an egress
-/// queue (finite capacity), serialization at link rate, forwarding
-/// latency, and cable propagation.
+/// Same-leaf traffic crosses one leaf; inter-leaf traffic crosses
+/// leaf -> ECMP-chosen spine -> leaf.
 class Fabric {
  public:
-  /// Legacy rack constructor: `num_nodes` hosts under a single ToR.
+  /// `num_nodes` hosts under a single ToR (TopologyConfig::SingleTor).
   Fabric(sim::Simulation* sim, const NetworkConfig& cfg, uint32_t num_nodes);
 
-  /// Topology-aware constructor.
   Fabric(sim::Simulation* sim, const NetworkConfig& cfg,
          const TopologyConfig& topo);
 
@@ -130,28 +112,30 @@ class Fabric {
 
   const SwitchStats& switch_stats() const { return switch_stats_; }
 
-  /// Per-port egress queue accounting (Clos mode; empty for single-ToR).
+  /// Per-port egress queue accounting: every leaf port (hosts, then
+  /// spine up-ports), then every spine port.
   std::vector<PortStat> PortStats() const;
 
-  /// Largest egress queue depth observed on any port so far (Clos mode).
+  /// Largest egress queue depth observed on any port so far.
   uint32_t max_port_depth() const { return max_port_depth_; }
 
   /// Administratively takes a switch down (packets arriving at it, queued
   /// on it, or routed onto it are dropped as DropReason::kOutage) or
   /// brings it back up. ECMP immediately steers inter-leaf flows away
   /// from a down spine, so traffic reroutes while at least one spine
-  /// lives. Valid in both topology modes (the single ToR is switch 0).
+  /// lives. A single-ToR fabric's ToR is switch 0.
   void SetSwitchUp(SwitchId sw, bool up);
   bool switch_up(SwitchId sw) const;
 
   /// The spine an inter-leaf flow resolves to right now (deterministic
   /// ECMP over the live spines), or kInvalidSwitch when every spine is
-  /// down. Exposed for tests and the scale benches; Clos mode only.
+  /// down (or the topology has none). Exposed for tests and the scale
+  /// benches.
   SwitchId SpineForFlow(NodeId src, Port src_port, NodeId dst,
                         Port dst_port) const;
 
-  /// Test hook: invoked per packet at first-switch ingress; return true
-  /// to drop.
+  /// Test hook: invoked per packet at first-switch ingress, after the
+  /// switch liveness check; return true to drop.
   void set_drop_filter(std::function<bool(const Packet&)> filter) {
     drop_filter_ = std::move(filter);
   }
@@ -166,25 +150,21 @@ class Fabric {
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() { return fault_hook_; }
 
-  /// Installs a packet-trace sink (pass nullptr to disable). The sink
-  /// sees every TraceStage of every packet; keep it cheap.
-  void set_trace_sink(TraceSink sink) { trace_ = std::move(sink); }
-
-  /// Called by NICs and the switch at each packet stage. Feeds both the
-  /// test sink above and, when the simulation's tracer is enabled,
-  /// per-stage instant events on the "net" category. Inline early-out:
-  /// this runs several times per packet and tracing is usually off.
+  /// Called by NICs and the switch at each packet stage: when the
+  /// simulation's tracer is enabled, records a `net.pkt.<stage>` instant
+  /// on the "net" category carrying pkt/src/dst/bytes args. Inline
+  /// early-out: this runs several times per packet and tracing is
+  /// usually off.
   void Trace(TraceStage stage, const Packet& pkt) {
-    if (trace_ == nullptr && !sim_->tracer().enabled()) return;
+    if (!sim_->tracer().enabled()) return;
     TraceSlow(stage, pkt);
   }
 
   /// Fresh trace id for a packet.
   uint64_t NextPacketId() { return next_packet_id_++; }
 
-  /// The distinct per-reason drop counter, registered on first use (the
-  /// NIC uses this for FCS drops; the fabric's internal drop paths go
-  /// through it too).
+  /// The distinct per-reason drop counter (the NIC uses this for FCS
+  /// drops; the fabric's internal drop paths go through it too).
   obs::Counter* DropReasonCounter(DropReason reason);
 
   /// Called by a NIC TX pump after serialization: the packet is on the
@@ -204,13 +184,11 @@ class Fabric {
     uint32_t track = 0;
   };
 
-  /// One switch of the Clos graph. Leaf ports: [0, HostsPerLeaf()) go
-  /// down to hosts, [HostsPerLeaf(), HostsPerLeaf()+num_spines) go up to
-  /// spines. Spine ports: one per leaf.
+  /// One switch of the graph. Leaf ports: [0, HostsPerLeaf()) go down to
+  /// hosts, [HostsPerLeaf(), HostsPerLeaf()+num_spines) go up to spines.
+  /// Spine ports: one per leaf.
   struct SwitchNode {
     bool is_spine = false;
-    /// Leaf ordinal or spine ordinal (not the global SwitchId).
-    uint32_t index = 0;
     bool up = true;
     std::vector<std::unique_ptr<PortQueue>> ports;
   };
@@ -227,11 +205,7 @@ class Fabric {
   Packet ClonePacket(const Packet& pkt);
   void DropFaulted(const Packet& pkt, bool link_down);
 
-  // --- single-ToR path (the seed model, unchanged) ---
-  sim::Task<> EgressPump(NodeId port);
-  void SwitchIngress(Packet pkt);
-
-  // --- Clos path ---
+  // --- packet path ---
   void BuildClos();
   /// Arrival at the sender's leaf, after the host->leaf cable.
   void ClosHostIngress(Packet pkt);
@@ -253,17 +227,18 @@ class Fabric {
   NetworkConfig cfg_;
   TopologyConfig topo_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  /// Single-ToR mode: one egress queue per switch port (per host).
-  std::vector<std::unique_ptr<sim::Channel<Packet>>> egress_queues_;
-  /// Clos mode: leaves then spines, indexed by SwitchId.
+  /// Leaves then spines, indexed by SwitchId.
   std::vector<SwitchNode> switches_;
-  /// Single-ToR mode: ToR liveness (SetSwitchUp(0, ...)).
-  bool tor_up_ = true;
+  /// Per host: its leaf and its down-port on that leaf, computed once so
+  /// the packet path never divides.
+  std::vector<uint32_t> leaf_of_;
+  std::vector<uint32_t> down_port_;
+  /// Leaf port index of the first spine up-port (== HostsPerLeaf()).
+  uint32_t first_up_port_ = 0;
   uint32_t max_port_depth_ = 0;
   SwitchStats switch_stats_;
   std::function<bool(const Packet&)> drop_filter_;
   FaultHook* fault_hook_ = nullptr;
-  TraceSink trace_;
   uint64_t next_packet_id_ = 1;
   obs::Counter* m_forwarded_;
   obs::Counter* m_dropped_;
@@ -272,8 +247,8 @@ class Fabric {
   /// drop-reason schema (zeros when a reason never fired) -- sidecars
   /// from different configs then line up column-for-column.
   obs::Counter* m_drop_reason_[kNumDropReasons] = {};
-  // Clos-only aggregates, registered eagerly by BuildClos (Clos runs have
-  // no baked-in metric fingerprints to preserve).
+  // Fabric aggregates, registered eagerly by BuildClos under the same
+  // rule: single-ToR and multi-leaf dumps share one schema.
   obs::Counter* m_spine_hops_ = nullptr;
   obs::Counter* m_leaf_local_ = nullptr;
   obs::Counter* m_port_enqueued_ = nullptr;

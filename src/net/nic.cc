@@ -45,10 +45,6 @@ void Nic::Deliver(Packet pkt) {
     // never sees the packet (it costs wire bandwidth, unlike a switch
     // drop, but is otherwise equivalent to loss).
     stats_.rx_fcs_errors++;
-    if (m_rx_fcs_errors_ == nullptr) {
-      m_rx_fcs_errors_ = sim_->metrics().GetCounter("net.rx_fcs_errors");
-    }
-    m_rx_fcs_errors_->Inc();
     fabric_->DropReasonCounter(DropReason::kFcsBad)->Inc();
     fabric_->Trace(TraceStage::kDropped, pkt);
     return;

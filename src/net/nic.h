@@ -22,7 +22,8 @@ struct NicStats {
   uint64_t rx_bytes = 0;
   uint64_t rx_dropped_no_listener = 0;
   /// Frames discarded on arrival because a corruption fault invalidated
-  /// their frame check sequence (see Packet::fcs_bad).
+  /// their frame check sequence (see Packet::fcs_bad). The registry
+  /// counts them fleet-wide as `net.drop_reason.fcs_bad`.
   uint64_t rx_fcs_errors = 0;
 };
 
@@ -71,10 +72,6 @@ class Nic {
   obs::Counter* m_rx_packets_;
   obs::Counter* m_rx_bytes_;
   obs::Counter* m_rx_dropped_;
-  /// Registered lazily on the first FCS drop so the registry dump (a
-  /// determinism artifact with baked-in fingerprints in bench/simcore)
-  /// is byte-identical to before for fault-free runs.
-  obs::Counter* m_rx_fcs_errors_ = nullptr;
 };
 
 }  // namespace dmrpc::net

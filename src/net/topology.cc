@@ -6,20 +6,9 @@
 
 namespace dmrpc::net {
 
-const char* TopologyKindName(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kSingleTor:
-      return "single-tor";
-    case TopologyKind::kClos:
-      return "clos";
-  }
-  return "?";
-}
-
 TopologyConfig TopologyConfig::SingleTor(uint32_t hosts) {
   DMRPC_CHECK_GT(hosts, 0u);
   TopologyConfig cfg;
-  cfg.kind = TopologyKind::kSingleTor;
   cfg.num_hosts = hosts;
   return cfg;
 }
@@ -30,23 +19,11 @@ TopologyConfig TopologyConfig::Clos(uint32_t hosts, uint32_t spines,
   DMRPC_CHECK_GT(spines, 0u);
   DMRPC_CHECK_GT(leaves, 0u);
   TopologyConfig cfg;
-  cfg.kind = TopologyKind::kClos;
   cfg.num_hosts = hosts;
   cfg.num_spines = spines;
   cfg.num_leaves = leaves;
   cfg.port_queue_packets = queue_packets;
   return cfg;
-}
-
-std::string TopologyConfig::ToString() const {
-  std::string s = TopologyKindName(kind);
-  s += " " + std::to_string(num_hosts) + "h";
-  if (kind == TopologyKind::kClos) {
-    s += " " + std::to_string(num_spines) + "s x " +
-         std::to_string(num_leaves) + "l q" +
-         std::to_string(port_queue_packets);
-  }
-  return s;
 }
 
 namespace {

@@ -56,13 +56,15 @@ struct RunOutcome {
   std::string metrics_json;
   uint64_t ok_calls = 0;
   int ticks = 0;
+  std::vector<net::PortStat> ports;
+  net::SwitchStats switch_stats;
 };
 
-RunOutcome RunMixedWorkload(uint64_t seed) {
+RunOutcome RunMixedWorkload(uint64_t seed, double loss = 0.05) {
   RunOutcome out;
   sim::Simulation sim(seed);
   net::NetworkConfig cfg;
-  cfg.loss_probability = 0.05;  // retransmission paths engaged
+  cfg.loss_probability = loss;  // > 0 engages the retransmission paths
   rpc::RpcConfig rcfg;
   rcfg.rto_ns = 100 * kMicrosecond;
   rcfg.max_retries = 20;
@@ -87,6 +89,8 @@ RunOutcome RunMixedWorkload(uint64_t seed) {
       sim.At(1000 + 977 * i, [] {});
     }
     sim.Run();
+    out.ports = fabric.PortStats();
+    out.switch_stats = fabric.switch_stats();
   }
   out.executed_events = sim.executed_events();
   out.metrics_json = sim.DumpMetricsJson();
@@ -105,6 +109,44 @@ TEST(DeterminismTest, IdenticallySeededRunsAreByteIdentical) {
   EXPECT_EQ(a.executed_events, b.executed_events);
   EXPECT_EQ(a.ok_calls, b.ok_calls);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
+}
+
+/// FNV-1a over a metrics dump: a compact fingerprint to pin against.
+uint64_t Fnv64(const std::string& s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(DeterminismTest, SingleTorRunIsPinned) {
+  RunOutcome a = RunMixedWorkload(20240814);
+  // The event count was recorded when the single ToR still had its own
+  // ingress/egress pipeline; running it as a one-leaf, zero-spine Clos
+  // must keep the schedule exactly. The metrics FNV is the merged
+  // path's (its dump gained the eager net.fabric.* keys).
+  EXPECT_EQ(a.executed_events, 1987u);
+  EXPECT_EQ(Fnv64(a.metrics_json), 0x879873e25b1547aaULL);
+}
+
+TEST(DeterminismTest, SingleTorPortStatsCoverEveryHost) {
+  RunOutcome a = RunMixedWorkload(20240814, /*loss=*/0.0);
+  EXPECT_GT(a.ok_calls, 0u);
+  EXPECT_EQ(a.switch_stats.dropped_loss, 0u);
+  EXPECT_EQ(a.switch_stats.dropped_switch_down, 0u);
+  // One ToR down-port per host, and every forwarded packet was enqueued
+  // on exactly one of them.
+  ASSERT_EQ(a.ports.size(), 4u);
+  uint64_t enqueued = 0;
+  for (const net::PortStat& ps : a.ports) {
+    EXPECT_EQ(ps.switch_id, 0u);
+    EXPECT_FALSE(ps.is_spine);
+    enqueued += ps.enqueued;
+  }
+  EXPECT_GT(enqueued, 0u);
+  EXPECT_EQ(enqueued, a.switch_stats.forwarded);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,16 +201,6 @@ ClosOutcome RunClosWorkload(uint64_t seed, bool traced) {
     out.trace_jsonl = os.str();
   }
   return out;
-}
-
-/// FNV-1a over a metrics dump: a compact fingerprint to pin against.
-uint64_t Fnv64(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 TEST(DeterminismTest, ClosRerunsAreBitIdenticalAndPinned) {

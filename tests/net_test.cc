@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "net/fabric.h"
@@ -19,6 +21,41 @@ Packet MakePacket(NodeId src, NodeId dst, Port sport, Port dport,
   p.dst_port = dport;
   p.payload.assign(bytes, 0xab);
   return p;
+}
+
+/// One `net.pkt.<stage>` tracer instant, with its numeric args decoded.
+struct PacketStage {
+  TimeNs time = 0;
+  std::string stage;
+  uint64_t pkt = 0;
+  uint64_t src = 0;
+  uint64_t dst = 0;
+  uint64_t bytes = 0;
+};
+
+uint64_t ArgValue(const std::string& args, const std::string& key) {
+  size_t at = args.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << args;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(args.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+/// Every packet-stage instant the simulation's tracer recorded, in order.
+std::vector<PacketStage> PacketStages(const sim::Simulation& sim) {
+  const std::string prefix = "net.pkt.";
+  std::vector<PacketStage> out;
+  for (const obs::TraceRecord& r : sim.tracer().records()) {
+    if (r.name.rfind(prefix, 0) != 0) continue;
+    PacketStage ps;
+    ps.time = r.time;
+    ps.stage = r.name.substr(prefix.size());
+    ps.pkt = ArgValue(r.args, "pkt");
+    ps.src = ArgValue(r.args, "src");
+    ps.dst = ArgValue(r.args, "dst");
+    ps.bytes = ArgValue(r.args, "bytes");
+    out.push_back(ps);
+  }
+  return out;
 }
 
 class FabricTest : public ::testing::Test {
@@ -167,19 +204,19 @@ TEST(FabricDeterminismTest, IdenticalRunsProduceIdenticalTimelines) {
 }
 
 TEST_F(FabricTest, TraceSeesEveryStageInOrder) {
-  std::vector<TraceEvent> events;
-  fabric_.set_trace_sink([&](const TraceEvent& ev) { events.push_back(ev); });
+  sim_.tracer().set_enabled(true);
   sim::Channel<Packet> inbox;
   fabric_.nic(1)->BindPort(80, &inbox);
   sim_.At(0, [&] { fabric_.nic(0)->Send(MakePacket(0, 1, 10, 80, 500)); });
   sim_.Run();
+  std::vector<PacketStage> events = PacketStages(sim_);
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].stage, TraceStage::kNicTx);
-  EXPECT_EQ(events[1].stage, TraceStage::kOnWire);
-  EXPECT_EQ(events[2].stage, TraceStage::kForwarded);
-  EXPECT_EQ(events[3].stage, TraceStage::kDelivered);
-  for (const TraceEvent& ev : events) {
-    EXPECT_EQ(ev.packet_id, events[0].packet_id);
+  EXPECT_EQ(events[0].stage, TraceStageName(TraceStage::kNicTx));
+  EXPECT_EQ(events[1].stage, TraceStageName(TraceStage::kOnWire));
+  EXPECT_EQ(events[2].stage, TraceStageName(TraceStage::kForwarded));
+  EXPECT_EQ(events[3].stage, TraceStageName(TraceStage::kDelivered));
+  for (const PacketStage& ev : events) {
+    EXPECT_EQ(ev.pkt, events[0].pkt);
     EXPECT_EQ(ev.src, 0u);
     EXPECT_EQ(ev.dst, 1u);
     EXPECT_EQ(ev.bytes, 500u);
@@ -195,15 +232,42 @@ TEST_F(FabricTest, TraceSeesEveryStageInOrder) {
 }
 
 TEST_F(FabricTest, TraceReportsDrops) {
-  std::vector<TraceEvent> events;
-  fabric_.set_trace_sink([&](const TraceEvent& ev) { events.push_back(ev); });
+  sim_.tracer().set_enabled(true);
   fabric_.set_drop_filter([](const Packet&) { return true; });
   sim::Channel<Packet> inbox;
   fabric_.nic(1)->BindPort(80, &inbox);
   sim_.At(0, [&] { fabric_.nic(0)->Send(MakePacket(0, 1, 10, 80, 64)); });
   sim_.Run();
+  std::vector<PacketStage> events = PacketStages(sim_);
   ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events.back().stage, TraceStage::kDropped);
+  EXPECT_EQ(events.back().stage, TraceStageName(TraceStage::kDropped));
+}
+
+TEST(FabricOutageTest, DeadTorDropsBeforeTheLossDraw) {
+  // A packet reaching a dead switch is an outage, not loss, and draws no
+  // randomness: the loss shim (certain here) must never see it.
+  constexpr uint64_t kSeed = 11;
+  constexpr int kPackets = 25;
+  sim::Simulation sim(kSeed);
+  NetworkConfig cfg;
+  cfg.loss_probability = 1.0;
+  Fabric fabric(&sim, cfg, 4);
+  fabric.SetSwitchUp(0, false);
+  EXPECT_FALSE(fabric.switch_up(0));
+  sim.At(0, [&] {
+    for (int i = 0; i < kPackets; ++i) {
+      fabric.nic(0)->Send(MakePacket(0, 1, 10, 80, 64));
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(sim.metrics().CounterValue("net.drop_reason.outage"),
+            static_cast<uint64_t>(kPackets));
+  EXPECT_EQ(sim.metrics().CounterValue("net.drop_reason.loss"), 0u);
+  EXPECT_EQ(fabric.switch_stats().dropped_switch_down,
+            static_cast<uint64_t>(kPackets));
+  EXPECT_EQ(fabric.switch_stats().dropped_loss, 0u);
+  sim::Simulation fresh(kSeed);
+  EXPECT_EQ(sim.rng().Next64(), fresh.rng().Next64());
 }
 
 TEST_F(FabricTest, TraceStageNamesAreStable) {

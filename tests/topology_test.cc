@@ -59,10 +59,18 @@ TEST(TopologyConfigTest, LeafMath) {
   EXPECT_EQ(ragged.LeafOf(8), 2u);
   EXPECT_EQ(ragged.LeafOf(9), 3u);
 
+  // The seed rack is the one-leaf, zero-spine shape, and the default.
   TopologyConfig tor = TopologyConfig::SingleTor(8);
+  EXPECT_EQ(tor.num_leaves, 1u);
+  EXPECT_EQ(tor.num_spines, 0u);
+  EXPECT_EQ(tor.port_queue_packets, 0u);
   EXPECT_EQ(tor.NumSwitches(), 1u);
-  EXPECT_FALSE(tor.ToString().empty());
-  EXPECT_FALSE(topo.ToString().empty());
+  EXPECT_EQ(tor.HostsPerLeaf(), 8u);
+  EXPECT_EQ(tor.LeafOf(7), 0u);
+  TopologyConfig dflt;
+  EXPECT_EQ(dflt.num_leaves, tor.num_leaves);
+  EXPECT_EQ(dflt.num_spines, tor.num_spines);
+  EXPECT_EQ(dflt.port_queue_packets, tor.port_queue_packets);
 }
 
 TEST(EcmpHashTest, SymmetricUnderEndpointSwap) {
@@ -112,18 +120,21 @@ class ClosPathTest : public ::testing::Test {
       : sim_(3), fabric_(&sim_, NetworkConfig{}, TopologyConfig::Clos(8, 2, 2, 0)) {}
 
   TimeNs DeliveredAt(NodeId src, NodeId dst, size_t bytes) {
-    TimeNs delivered = -1;
-    fabric_.set_trace_sink([&](const TraceEvent& ev) {
-      if (ev.stage == TraceStage::kDelivered) delivered = ev.time;
-    });
+    sim_.tracer().Clear();
+    sim_.tracer().set_enabled(true);
     sim::Channel<Packet> inbox;
     fabric_.nic(dst)->BindPort(80, &inbox);
     sim_.At(0, [&] { fabric_.nic(src)->Send(MakePacket(src, dst, 10, 80, bytes)); });
     sim_.Run();
-    fabric_.set_trace_sink(nullptr);
+    sim_.tracer().set_enabled(false);
     fabric_.nic(dst)->UnbindPort(80);
     EXPECT_TRUE(inbox.TryPop().has_value());
-    return delivered;
+    const std::string delivered =
+        std::string("net.pkt.") + TraceStageName(TraceStage::kDelivered);
+    for (const obs::TraceRecord& r : sim_.tracer().records()) {
+      if (r.name == delivered) return r.time;
+    }
+    return -1;
   }
 
   sim::Simulation sim_;

@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -245,6 +246,20 @@ std::string Summarize(const msvc::WorkloadResult& res) {
                 FormatDuration(res.latency.p99()).c_str(),
                 FormatDuration(res.latency.p999()).c_str());
   return buf;
+}
+
+HostUsage ReadHostUsage() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  HostUsage u;
+  u.max_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
+  u.user_ms = ms(ru.ru_utime);
+  u.sys_ms = ms(ru.ru_stime);
+  return u;
 }
 
 }  // namespace dmrpc::bench

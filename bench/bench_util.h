@@ -50,6 +50,15 @@ struct BenchEnv {
 /// Standard one-line summary of a workload result.
 std::string Summarize(const msvc::WorkloadResult& res);
 
+/// Host cost of this process so far, from getrusage(RUSAGE_SELF): peak
+/// resident set and CPU time in user and kernel mode.
+struct HostUsage {
+  double max_rss_mb = 0;
+  double user_ms = 0;
+  double sys_ms = 0;
+};
+HostUsage ReadHostUsage();
+
 /// Machine-readable observability sidecar for bench binaries.
 ///
 /// Every bench calls Arm() right after constructing each Simulation and

@@ -9,7 +9,9 @@
 // reason, and the fabric's high-water egress queue depths. The sweep
 // locates the saturation knee (first rate whose p99 blows past 3x the
 // lightest rate's p99, or whose goodput falls under 95% of offered) and
-// writes everything to BENCH_scale.json (override with DMRPC_SCALE_JSON).
+// writes everything to BENCH_scale.json (override with DMRPC_SCALE_JSON),
+// together with the sweep's own host cost (peak RSS, user and sys CPU of
+// the whole process, determinism reruns included).
 //
 // Flags (defaults in Options):
 //   --hosts=N --spines=N --leaves=N     fabric shape
@@ -251,7 +253,7 @@ double KneeKrps(const std::vector<RatePoint>& points) {
 }
 
 void WriteJson(const Options& opt, const std::vector<RatePoint>& points,
-               double knee, bool verified) {
+               double knee, bool verified, const HostUsage& usage) {
   const char* path = std::getenv("DMRPC_SCALE_JSON");
   if (path == nullptr || path[0] == '\0') path = "BENCH_scale.json";
   std::FILE* f = std::fopen(path, "w");
@@ -306,6 +308,10 @@ void WriteJson(const Options& opt, const std::vector<RatePoint>& points,
   } else {
     std::fprintf(f, "  \"knee_krps\": null,\n");
   }
+  std::fprintf(f,
+               "  \"max_rss_mb\": %.1f,\n  \"user_ms\": %.0f,\n"
+               "  \"sys_ms\": %.0f,\n",
+               usage.max_rss_mb, usage.user_ms, usage.sys_ms);
   std::fprintf(f, "  \"determinism\": \"%s\"\n}\n",
                verified ? "verified" : "unverified");
   std::fclose(f);
@@ -463,7 +469,10 @@ int Main(int argc, char** argv) {
     std::printf("saturation knee: not reached (raise --rates)\n");
   }
 
-  WriteJson(opt, points, knee, opt.verify && determinism_ok);
+  HostUsage usage = ReadHostUsage();
+  std::printf("host cost: max RSS %.1f MB, user %.0f ms, sys %.0f ms\n",
+              usage.max_rss_mb, usage.user_ms, usage.sys_ms);
+  WriteJson(opt, points, knee, opt.verify && determinism_ok, usage);
   if (opt.verify && !determinism_ok) return 1;
   return 0;
 }

@@ -19,8 +19,14 @@
 // together with the pre-overhaul baseline, establishing the repo's
 // wall-clock perf trajectory.
 //
-// Usage: bench_simcore [--smoke]   (smoke = ~10x shorter, for CI)
+// Usage: bench_simcore [--smoke] [scenario...]
+//   --smoke     ~10x shorter windows, for CI
+//   scenario    run only the named scenarios (default: all five), with
+//               the same event-count and fingerprint pins. A scenario's
+//               wall_ms depends on what ran before it in the process, so
+//               wall-time A/Bs run one scenario per process.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -460,10 +466,29 @@ std::string JsonRun(const RunResult& r) {
   return buf;
 }
 
+bool IsKnownScenario(const std::string& name) {
+  for (const Scenario& sc : kScenarios) {
+    if (name == sc.name) return true;
+  }
+  return false;
+}
+
 int Main(int argc, char** argv) {
   bool smoke = false;
+  std::vector<std::string> only;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (IsKnownScenario(argv[i])) {
+      only.push_back(argv[i]);
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\nscenarios:", argv[i]);
+      for (const Scenario& sc : kScenarios) {
+        std::fprintf(stderr, " %s", sc.name);
+      }
+      std::fprintf(stderr, "\n");
+      return 2;
+    }
   }
   if (const char* env = std::getenv("DMRPC_SIMCORE_SMOKE")) {
     if (env[0] != '\0' && env[0] != '0') smoke = true;
@@ -480,6 +505,10 @@ int Main(int argc, char** argv) {
   bool all_deterministic = true;
   bool all_zero_perturb = true;
   for (const Scenario& sc : kScenarios) {
+    if (!only.empty() &&
+        std::find(only.begin(), only.end(), sc.name) == only.end()) {
+      continue;
+    }
     RunResult r = sc.run(smoke);
     // Zero-perturbation pass: the same scenario with span recording on
     // must execute the identical event sequence and dump byte-identical

@@ -1,5 +1,7 @@
 #include "dm/page_pool.h"
 
+#include <cstdlib>
+
 #include "common/logging.h"
 
 namespace dmrpc::dm {
@@ -8,7 +10,11 @@ PagePool::PagePool(uint32_t num_frames, uint32_t page_size)
     : num_frames_(num_frames), page_size_(page_size) {
   DMRPC_CHECK_GT(num_frames, 0u);
   DMRPC_CHECK_GT(page_size, 0u);
-  storage_.assign(static_cast<size_t>(num_frames) * page_size, 0);
+  // Large blocks come from a fresh anonymous mapping, which calloc does
+  // not memset: untouched frames stay unmapped and read as zero.
+  storage_.reset(static_cast<uint8_t*>(std::calloc(num_frames, page_size)));
+  DMRPC_CHECK(storage_ != nullptr)
+      << "cannot reserve " << capacity_bytes() << " bytes of page storage";
   refcounts_.assign(num_frames, 0);
   for (FrameId f = 0; f < num_frames; ++f) fifo_.push_back(f);
 }
@@ -61,12 +67,12 @@ void PagePool::PushFree(FrameId frame) {
 
 uint8_t* PagePool::FrameData(FrameId frame) {
   DMRPC_CHECK_LT(frame, num_frames_);
-  return storage_.data() + static_cast<size_t>(frame) * page_size_;
+  return storage_.get() + static_cast<size_t>(frame) * page_size_;
 }
 
 const uint8_t* PagePool::FrameData(FrameId frame) const {
   DMRPC_CHECK_LT(frame, num_frames_);
-  return storage_.data() + static_cast<size_t>(frame) * page_size_;
+  return storage_.get() + static_cast<size_t>(frame) * page_size_;
 }
 
 uint32_t PagePool::RefCount(FrameId frame) const {

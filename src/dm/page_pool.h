@@ -2,8 +2,10 @@
 #define DMRPC_DM_PAGE_POOL_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,13 @@ struct LeaseReclaim {
 ///
 /// Page contents are real bytes: copy-on-write physically copies them, so
 /// data integrity is testable end to end.
+///
+/// The frame array is configured capacity, not resident memory: it is
+/// lazily zeroed, so the host pays for a frame's page only once the frame
+/// is first written or read. Fresh frames read as zero; a recycled frame
+/// keeps the bytes its previous owner left (nothing zeroes it on
+/// PushFree/PopFree -- the DM server and the CXL paths clear or overwrite
+/// a frame when they fault it in).
 class PagePool {
  public:
   PagePool(uint32_t num_frames, uint32_t page_size);
@@ -114,7 +123,11 @@ class PagePool {
  private:
   uint32_t num_frames_;
   uint32_t page_size_;
-  std::vector<uint8_t> storage_;
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+  /// num_frames_ * page_size_ bytes from calloc (see the class comment).
+  std::unique_ptr<uint8_t[], FreeDeleter> storage_;
   std::vector<uint32_t> refcounts_;
   std::deque<FrameId> fifo_;
   /// lease -> (cookie -> pinned frames). Ordered maps: reclamation order

@@ -22,7 +22,9 @@ namespace dmrpc::dmnet {
 /// Tuning of a DM server (§V-A).
 struct DmServerConfig {
   uint32_t page_size = 4096;
-  uint32_t num_frames = 65536;  // 256 MiB of pinned pages by default
+  /// Configured capacity (256 MiB of pages by default). The host pays
+  /// memory only per page a run touches (dm::PagePool is lazily zeroed).
+  uint32_t num_frames = 65536;
   /// Worker cores serving DM requests (Fig. 7 uses 1).
   int cores = 1;
   /// Per-request fixed CPU cost (argument parsing, dispatch).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "cxl/gfam.h"
 #include "cxl/host_dm.h"
 #include "net/fabric.h"
+#include "resident_memory.h"
 #include "sim/simulation.h"
 
 namespace dmrpc::cxl {
@@ -71,6 +74,21 @@ class CxlTest : public ::testing::Test {
   std::vector<std::unique_ptr<CxlPort>> ports_;
   std::vector<std::unique_ptr<HostDmLayer>> hosts_;
 };
+
+TEST(GfamDeviceTest, UntouchedFramesCostNoHostMemory) {
+  constexpr uint32_t kPage = 4096;
+  const int64_t before = testing_util::ResidentBytes();
+  ASSERT_GT(before, 0);
+  GfamDevice device(1u << 18, kPage);  // 1 GiB of CXL physical pages
+  std::deque<dm::FrameId> free_list = device.TakeAllFree();
+  ASSERT_EQ(free_list.size(), device.num_frames());
+  for (int i = 0; i < 16; ++i) {
+    std::memset(device.pool().FrameData(free_list[i]), 0xab, kPage);
+  }
+  EXPECT_LT(testing_util::ResidentBytes() - before, int64_t{64} << 20)
+      << "configured device frames became resident before any run "
+         "touched them";
+}
 
 TEST_F(CxlTest, InitReservesFrameBatches) {
   ASSERT_TRUE(Run(InitAll()).ok());

@@ -8,6 +8,7 @@
 #include "dm/page_pool.h"
 #include "dm/ref.h"
 #include "dm/va_allocator.h"
+#include "resident_memory.h"
 
 namespace dmrpc::dm {
 namespace {
@@ -76,6 +77,36 @@ TEST(PagePoolTest, FrameDataIsIsolatedPerFrame) {
   EXPECT_EQ(pool.FrameData(a)[0], 0xaa);
   EXPECT_EQ(pool.FrameData(a)[127], 0xaa);
   EXPECT_EQ(pool.FrameData(b)[0], 0xbb);
+}
+
+TEST(PagePoolTest, UntouchedFramesCostNoHostMemory) {
+  constexpr uint32_t kPage = 4096;
+  const int64_t before = testing_util::ResidentBytes();
+  ASSERT_GT(before, 0);
+  PagePool pool(1u << 18, kPage);  // 1 GiB configured
+  std::vector<FrameId> written;
+  for (int i = 0; i < 16; ++i) {
+    FrameId f = *pool.PopFree();
+    std::fill_n(pool.FrameData(f), kPage, static_cast<uint8_t>(0x10 + i));
+    written.push_back(f);
+  }
+  EXPECT_LT(testing_util::ResidentBytes() - before, int64_t{64} << 20)
+      << "configured frames became resident before any run touched them";
+
+  const uint8_t* untouched = pool.FrameData(pool.num_frames() - 1);
+  EXPECT_TRUE(std::all_of(untouched, untouched + kPage,
+                          [](uint8_t b) { return b == 0; }));
+
+  // Recycling never zeroes: a frame pushed back and popped again still
+  // holds what its last owner wrote.
+  FrameId recycled = written.front();
+  ASSERT_EQ(pool.DecRef(recycled), 0u);
+  pool.PushFree(recycled);
+  while (pool.free_frames() > 1) ASSERT_TRUE(pool.PopFree().ok());
+  ASSERT_EQ(*pool.PopFree(), recycled);
+  const uint8_t* data = pool.FrameData(recycled);
+  EXPECT_TRUE(std::all_of(data, data + kPage,
+                          [](uint8_t b) { return b == 0x10; }));
 }
 
 // ---------------------------------------------------------------------------

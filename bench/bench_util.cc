@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/trace_analysis.h"
 
 namespace dmrpc::bench {
 
@@ -177,59 +176,31 @@ void BenchObs::Record(const std::string& label, sim::Simulation* sim) {
 
   const char* dir = std::getenv("DMRPC_TRACE_DIR");
   if (dir != nullptr && !sim->tracer().records().empty()) {
-    std::string base =
-        std::string(dir) + "/" + BenchName() + "_" + SanitizeLabel(label);
-    std::string path = base + ".trace.json";
+    std::string path = std::string(dir) + "/" + BenchName() + "_" +
+                       SanitizeLabel(label) + ".trace.jsonl";
     std::ofstream out(path);
     if (out) {
-      sim->tracer().WriteChromeTrace(out);
-      std::printf("[obs] wrote %s (%zu events)\n", path.c_str(),
+      sim->tracer().WriteJsonLines(out);
+      std::printf("[obs] wrote %s (%zu records)\n", path.c_str(),
                   sim->tracer().records().size());
     } else {
       LOG_WARN << "cannot write trace " << path;
-    }
-    std::string jsonl_path = base + ".trace.jsonl";
-    std::ofstream jsonl(jsonl_path);
-    if (jsonl) {
-      sim->tracer().WriteJsonLines(jsonl);
-    } else {
-      LOG_WARN << "cannot write trace " << jsonl_path;
-    }
-    // Per-run latency-breakdown sidecar: span trees reconstructed from
-    // this run's records, critical paths attributed per layer and hop.
-    obs::TraceAnalysis analysis;
-    analysis.AddRecords(sim->tracer().records(), sim->tracer().dropped());
-    analysis.Build();
-    std::string report_path = base + ".breakdown.txt";
-    std::ofstream report(report_path);
-    if (report) {
-      report << analysis.TextReport();
-      std::printf("[obs] wrote %s\n", report_path.c_str());
-    } else {
-      LOG_WARN << "cannot write breakdown " << report_path;
     }
     sim->tracer().Clear();
   }
 
   if (sim->timeline().enabled() && !sim->timeline().windows().empty()) {
     const char* tl_dir = std::getenv("DMRPC_TIMELINE_DIR");
-    std::string base = (tl_dir != nullptr ? std::string(tl_dir) + "/" : "") +
-                       BenchName() + "_" + SanitizeLabel(label);
-    std::string tl_path = base + ".timeline.jsonl";
-    std::ofstream tl(tl_path);
-    if (tl) {
-      tl << sim->timeline().ToJsonLines();
-      std::printf("[obs] wrote %s (%zu windows)\n", tl_path.c_str(),
+    std::string path = (tl_dir != nullptr ? std::string(tl_dir) + "/" : "") +
+                       BenchName() + "_" + SanitizeLabel(label) +
+                       ".timeline.jsonl";
+    std::ofstream out(path);
+    if (out) {
+      out << sim->timeline().ToJsonLines();
+      std::printf("[obs] wrote %s (%zu windows)\n", path.c_str(),
                   sim->timeline().windows().size());
     } else {
-      LOG_WARN << "cannot write timeline " << tl_path;
-    }
-    std::string ct_path = base + ".counters.json";
-    std::ofstream ct(ct_path);
-    if (ct) {
-      sim->timeline().WriteCounterTrack(ct);
-    } else {
-      LOG_WARN << "cannot write counter track " << ct_path;
+      LOG_WARN << "cannot write timeline " << path;
     }
     // Windows already serialized must not leak into the next labelled
     // run's sidecar (the boundary grid itself stays armed).

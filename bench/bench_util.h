@@ -73,35 +73,33 @@ HostUsage ReadHostUsage();
 /// already-recorded runs survive a later scenario aborting the process.
 ///
 /// Setting DMRPC_TRACE_DIR additionally enables the simulation's event
-/// tracer and writes three sidecars per run under that directory:
+/// tracer and writes one sidecar per run under that directory (which
+/// must exist):
 ///
-///   <bench>_<label>.trace.json     Chrome trace_event file (load it in
-///                                  chrome://tracing or ui.perfetto.dev)
-///   <bench>_<label>.trace.jsonl    raw record dump, one JSON per line
-///                                  (input format of trace_analyze)
-///   <bench>_<label>.breakdown.txt  per-request critical-path latency
-///                                  breakdown by layer and by hop
-///                                  (obs::TraceAnalysis::TextReport)
+///   <bench>_<label>.trace.jsonl     record dump, one JSON per line
+///                                   (obs::Tracer::WriteJsonLines)
 ///
 /// Setting DMRPC_TIMELINE_US=<interval in virtual microseconds> arms the
 /// simulation's virtual-time timeline sampler (sim::Simulation::
-/// EnableTimeline) and writes two more sidecars per run, under
+/// EnableTimeline) and writes one more sidecar per run, under
 /// DMRPC_TIMELINE_DIR if set, else the working directory:
 ///
 ///   <bench>_<label>.timeline.jsonl  one JSON object per sampled window
-///                                   (obs::TimelineRecorder::ToJsonLines;
-///                                   byte-identical across worker-thread
-///                                   counts)
-///   <bench>_<label>.counters.json   Chrome/Perfetto counter-track file
-///                                   (per-window rates, gauge levels,
-///                                   p99s, SLO burn rates)
+///                                   (obs::TimelineRecorder::ToJsonLines)
+///
+/// These are the only encodings a run writes. The other views are made
+/// from them offline: `trace_analyze X.trace.jsonl` prints the
+/// critical-path latency breakdown by layer and hop, and
+/// `trace_analyze --chrome X.trace.jsonl [X.timeline.jsonl]` prints one
+/// Chrome/Perfetto file with the spans, instants and counter tracks.
 class BenchObs {
  public:
   /// Enables tracing on `sim` when DMRPC_TRACE_DIR is set.
   static void Arm(sim::Simulation* sim);
 
   /// Stores sim->DumpMetricsJson() under `label` (labels must be unique
-  /// within a binary) and flushes the pending Chrome trace, if armed.
+  /// within a binary) and writes the run's trace and timeline sidecars,
+  /// if armed.
   static void Record(const std::string& label, sim::Simulation* sim);
 };
 

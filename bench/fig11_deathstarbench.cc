@@ -18,6 +18,7 @@
 #include "common/logging.h"
 #include "msvc/cluster.h"
 #include "msvc/workload.h"
+#include "workload/openloop.h"
 
 namespace dmrpc::bench {
 namespace {
@@ -47,10 +48,12 @@ const msvc::WorkloadResult& RunSocialNet(msvc::Backend backend,
   Status st = msvc::RunToCompletion(&sim, cluster.InitAll());
   if (!st.ok()) LOG_FATAL << "init: " << st.ToString();
 
-  msvc::WorkloadResult res = msvc::RunOpenLoop(
-      &sim, app.MakeMixedRequestFn(client), rate_krps * 1000.0,
-      env.Warmup(100 * kMillisecond), env.Measure(500 * kMillisecond),
-      /*max_outstanding=*/50000);
+  workload::OpenLoopConfig load;  // one Poisson source
+  load.rate_rps = rate_krps * 1000.0;
+  load.max_outstanding = 50000;
+  msvc::WorkloadResult res = workload::RunOpenLoopMulti(
+      &sim, {app.MakeMixedRequestFn(client)}, load,
+      env.Warmup(100 * kMillisecond), env.Measure(500 * kMillisecond));
   BenchObs::Record(std::string(msvc::BackendName(backend)) + "_" +
                        std::to_string(rate_krps) + "krps",
                    &sim);

@@ -13,11 +13,11 @@
 //
 // Each scenario runs a fixed, seeded virtual-time workload, so its virtual
 // results (executed event count, full metrics JSON) are bit-reproducible;
-// the FNV-1a hash of the metrics dump is recorded to prove that engine
-// optimizations never change simulated behavior. Results are written to a
-// BENCH_simcore.json sidecar (override the path with DMRPC_SIMCORE_JSON)
-// together with the pre-overhaul baseline, establishing the repo's
-// wall-clock perf trajectory.
+// the FNV-1a hash of the metrics dump is pinned, with the event count, to
+// prove that engine changes never move simulated behavior. Results go to
+// BENCH_simcore.json (override with DMRPC_SIMCORE_JSON). wall_ms is this
+// host's number only: compare builds by interleaved same-machine runs,
+// never against a recorded constant.
 //
 // Usage: bench_simcore [--smoke] [scenario...]
 //   --smoke     ~10x shorter windows, for CI
@@ -59,9 +59,6 @@ bool g_trace_pass = false;
 void MaybeArmTracer(sim::Simulation* sim) {
   if (!g_trace_pass) return;
   sim->tracer().set_enabled(true);
-  // High enough that no scenario sheds records: a nonzero dropped()
-  // count would fold obs.trace_dropped into the metrics dump and fail
-  // the fingerprint comparison for the wrong reason.
   sim->tracer().set_limit(size_t{1} << 24);
 }
 
@@ -84,77 +81,6 @@ struct RunResult {
     return wall_ms > 0.0 ? events / (wall_ms / 1e3) : 0.0;
   }
 };
-
-/// Baseline numbers recorded on the pre-overhaul engine (commit 92ae1b5:
-/// std::function events in a binary std::priority_queue, std::vector packet
-/// payloads), Release -O2. wall_ms was measured with baseline and current
-/// binaries run back-to-back in alternation on the same host (averaged
-/// over four interleaved pairs) so both sides see the same machine
-/// conditions; it is only meaningful relative to a fresh run on that host.
-/// metrics_fnv is machine-independent and must match exactly.
-struct BaselineEntry {
-  const char* scenario;
-  RunResult full;
-  RunResult smoke;
-};
-
-constexpr uint64_t kNoBaseline = 0;
-
-BaselineEntry kBaseline[] = {
-    // {scenario, {events, wall_ms, metrics_fnv}, {events, wall_ms, fnv}}
-    //
-    // All four rows' fingerprints were re-recorded when gauges grew a
-    // high-watermark (the dump became {"value":V,"max":M}) and the
-    // fabric/rpc/dm layers gained timeline instrumentation (eager
-    // net.drop_reason.* registration, net.fabric.port_enqueued,
-    // rpc.in_flight, dm.fetch_refs/release_refs/peer_reclaims): every
-    // dump's byte stream shifted, but every scenario's executed-event
-    // count stayed exactly the same, pinning the drift to the dump
-    // format rather than the event schedule.
-    {"event_churn",
-     {3479858, 404.33, 0x971f545e4e811400ULL},
-     {347993, 45.23, 0xbb5e55b37505f28aULL}},
-    // packet_forwarding and both RPC rows were re-recorded again when the
-    // single ToR became the one-leaf, zero-spine case of the Clos packet
-    // path: its dump gained the four eager net.fabric.* keys. With those
-    // four keys removed each dump is byte-identical to the one before,
-    // and every event count is unchanged.
-    {"packet_forwarding",
-     {1279944, 95.82, 0x00f2b525c63d6235ULL},
-     {127944, 11.62, 0x668ec7e7a09f2f28ULL}},
-    // Both RPC rows' fingerprints were re-recorded when the packet
-    // header grew trace context (trace_id + parent span + flags,
-    // kWireBytes 22 -> 39): larger headers change serialization times,
-    // which shifts the event schedule (rpc_large_transfer) and the
-    // metrics dump (both). event_churn and packet_forwarding bypass
-    // rpc::wire and kept their original fingerprints, pinning the
-    // drift to the header change.
-    //
-    // The RPC rows' wall_ms comes from a different baseline binary: the
-    // pre-overhaul hybrid no longer builds against the current APIs, so
-    // it was re-measured on a later commit with bit-identical
-    // fingerprints (same workload), run interleaved with the binary of
-    // that time on one host (averaged over four alternating pairs). Like
-    // every wall_ms here it only means something next to a fresh run on
-    // that host; the event counts and fingerprints are the portable part.
-    {"rpc_echo_storm",
-     {2097230, 192.44, 0x340e08d625afcb46ULL},
-     {209658, 19.74, 0xd894c62b6248e2a6ULL}},
-    {"rpc_large_transfer",
-     {624538, 47.71, 0x7e852166c5d1161aULL},
-     {63854, 5.85, 0x082ad5968cbeed03ULL}},
-    // Determinism pin only: no wall_ms baseline (0), so no speedup.
-    {"clos_echo_storm",
-     {3506238, 0.0, 0xe6ebde1ea391aa0eULL},
-     {876214, 0.0, 0x7da2d6d9e76d6875ULL}},
-};
-
-const BaselineEntry* FindBaseline(const std::string& scenario) {
-  for (const BaselineEntry& e : kBaseline) {
-    if (scenario == e.scenario) return &e;
-  }
-  return nullptr;
-}
 
 class WallTimer {
  public:
@@ -387,9 +313,7 @@ RunResult RunRpcLargeTransfer(bool smoke) {
   res.metrics_fnv = Fnv64(sim.DumpMetricsJson());
   DMRPC_CHECK_GT(calls, 0u);
   // The zero-copy gate: after the producer writes into the request, no
-  // payload byte may be memcpy'd on the message path. The contiguous
-  // baseline predates the counter, so CounterValue returns 0 there too
-  // and this check compiles and passes against both implementations.
+  // payload byte may be memcpy'd on the message path.
   DMRPC_CHECK_EQ(sim.metrics().CounterValue("rpc.bytes_copied"), 0u);
   return res;
 }
@@ -442,17 +366,29 @@ RunResult RunClosEchoStorm(bool smoke) {
 // Harness
 // ---------------------------------------------------------------------------
 
+/// A scenario and its determinism pins: the executed-event count and the
+/// FNV-1a of the metrics dump, full and smoke, which must match exactly.
 struct Scenario {
   const char* name;
   RunResult (*run)(bool smoke);
+  uint64_t events, metrics_fnv, smoke_events, smoke_fnv;
 };
 
+// The RPC and Clos rows' FNVs were last re-recorded when
+// rpc.session_resets and rpc.bytes_copied became eager zero-valued keys:
+// without those two keys each dump is byte-identical to the one before,
+// and no event count moved.
 const Scenario kScenarios[] = {
-    {"event_churn", RunEventChurn},
-    {"packet_forwarding", RunPacketForwarding},
-    {"rpc_echo_storm", RunRpcEchoStorm},
-    {"rpc_large_transfer", RunRpcLargeTransfer},
-    {"clos_echo_storm", RunClosEchoStorm},
+    {"event_churn", RunEventChurn, 3479858, 0x971f545e4e811400ULL, 347993,
+     0xbb5e55b37505f28aULL},
+    {"packet_forwarding", RunPacketForwarding, 1279944, 0x00f2b525c63d6235ULL,
+     127944, 0x668ec7e7a09f2f28ULL},
+    {"rpc_echo_storm", RunRpcEchoStorm, 2097230, 0xc0b94f8bb8759433ULL,
+     209658, 0xc15464a2a82a37dfULL},
+    {"rpc_large_transfer", RunRpcLargeTransfer, 624538, 0x98f54d6e5bb61d95ULL,
+     63854, 0x08984a7e10b7fcd0ULL},
+    {"clos_echo_storm", RunClosEchoStorm, 3506238, 0x70df1cbb830ebf45ULL,
+     876214, 0xcc33cc49fb1b6628ULL},
 };
 
 std::string JsonRun(const RunResult& r) {
@@ -498,10 +434,10 @@ int Main(int argc, char** argv) {
 
   std::printf("simcore wall-clock suite (%s mode)\n",
               smoke ? "smoke" : "full");
-  std::printf("%-20s %12s %10s %14s %10s %8s %8s\n", "scenario", "events",
-              "wall_ms", "events/sec", "speedup", "determ", "traceok");
+  std::printf("%-20s %12s %10s %14s %8s %8s\n", "scenario", "events",
+              "wall_ms", "events/sec", "determ", "traceok");
 
-  std::string runs_json, base_json, speedup_json, trace_json;
+  std::string runs_json, trace_json;
   bool all_deterministic = true;
   bool all_zero_perturb = true;
   for (const Scenario& sc : kScenarios) {
@@ -519,41 +455,20 @@ int Main(int argc, char** argv) {
     bool zero_perturb =
         traced.events == r.events && traced.metrics_fnv == r.metrics_fnv;
     if (!zero_perturb) all_zero_perturb = false;
-    const BaselineEntry* be = FindBaseline(sc.name);
-    const RunResult* base = nullptr;
-    if (be != nullptr) base = smoke ? &be->smoke : &be->full;
-    double speedup = 0.0;
-    const char* determ = "n/a";
-    if (base != nullptr && base->metrics_fnv != kNoBaseline) {
-      if (base->wall_ms > 0.0 && r.wall_ms > 0.0) {
-        speedup = base->wall_ms / r.wall_ms;
-      }
-      bool same = base->metrics_fnv == r.metrics_fnv &&
-                  base->events == r.events;
-      determ = same ? "ok" : "DIFF";
-      if (!same) all_deterministic = false;
-    }
-    std::printf("%-20s %12llu %10.2f %14.0f %9.2fx %8s %8s\n", sc.name,
+    bool same = smoke ? r.events == sc.smoke_events &&
+                            r.metrics_fnv == sc.smoke_fnv
+                      : r.events == sc.events && r.metrics_fnv == sc.metrics_fnv;
+    if (!same) all_deterministic = false;
+    std::printf("%-20s %12llu %10.2f %14.0f %8s %8s\n", sc.name,
                 static_cast<unsigned long long>(r.events), r.wall_ms,
-                r.events_per_sec(), speedup, determ,
+                r.events_per_sec(), same ? "ok" : "DIFF",
                 zero_perturb ? "ok" : "DIFF");
 
     if (!runs_json.empty()) {
       runs_json += ",\n    ";
-      base_json += ",\n    ";
-      speedup_json += ", ";
       trace_json += ", ";
     }
     runs_json += std::string("\"") + sc.name + "\": " + JsonRun(r);
-    base_json += std::string("\"") + sc.name + "\": " +
-                 (base != nullptr ? JsonRun(*base) : "null");
-    char sbuf[64];
-    if (speedup > 0.0) {
-      std::snprintf(sbuf, sizeof(sbuf), "\"%s\": %.2f", sc.name, speedup);
-    } else {
-      std::snprintf(sbuf, sizeof(sbuf), "\"%s\": null", sc.name);
-    }
-    speedup_json += sbuf;
     trace_json += std::string("\"") + sc.name +
                   "\": " + (zero_perturb ? "true" : "false");
   }
@@ -561,9 +476,7 @@ int Main(int argc, char** argv) {
   std::ofstream out(json_path);
   out << "{\n  \"bench\": \"simcore\",\n  \"mode\": \""
       << (smoke ? "smoke" : "full") << "\",\n  \"runs\": {\n    "
-      << runs_json << "\n  },\n  \"baseline\": {\n    " << base_json
-      << "\n  },\n  \"speedup_vs_baseline\": { " << speedup_json
-      << " },\n  \"trace_zero_perturbation\": { " << trace_json
+      << runs_json << "\n  },\n  \"trace_zero_perturbation\": { " << trace_json
       << " },\n  \"deterministic_vs_baseline\": "
       << (all_deterministic ? "true" : "false")
       << ",\n  \"tracing_zero_perturbation\": "

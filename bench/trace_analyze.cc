@@ -1,6 +1,7 @@
 // Command-line front end of obs::TraceAnalysis.
 //
 // Usage: trace_analyze [--check] [--csv] <trace.jsonl>...
+//        trace_analyze --chrome <run.trace.jsonl> [<run.timeline.jsonl>]
 //
 // Reads one or more JSONL trace dumps (the .trace.jsonl sidecars written
 // by bench binaries under DMRPC_TRACE_DIR, or Tracer::WriteJsonLines
@@ -20,16 +21,59 @@
 // ready for a spreadsheet or pandas:
 //
 //   file,group,layer,requests,p50_ns,p95_ns,p99_ns,max_ns,layer_ns
+//
+// With --chrome the report is replaced by one Chrome/Perfetto file on
+// stdout: the run's spans and instants, plus the counter tracks of its
+// .timeline.jsonl sidecar when given. Unreadable input exits 2.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "obs/trace_analysis.h"
 
 namespace {
+
+constexpr char kUsage[] =
+    "usage: trace_analyze [--check] [--csv] <trace.jsonl>...\n"
+    "       trace_analyze --chrome <run.trace.jsonl> [<run.timeline.jsonl>]\n";
+
+/// Opens `path` and runs `parse(stream, &error)`; false (said on stderr)
+/// when either fails.
+template <typename Parse>
+bool ReadFile(const std::string& path, Parse&& parse) {
+  std::ifstream in(path);
+  std::string error;
+  if (!in) {
+    std::fprintf(stderr, "trace_analyze: cannot open %s\n", path.c_str());
+    return false;
+  }
+  if (!parse(in, &error)) {
+    std::fprintf(stderr, "trace_analyze: %s: parse error: %s\n", path.c_str(),
+                 error.c_str());
+    return false;
+  }
+  return true;
+}
+
+int PrintChrome(const std::vector<std::string>& files) {
+  dmrpc::obs::TraceAnalysis analysis;
+  std::vector<dmrpc::obs::TimelineWindow> windows;
+  bool ok = ReadFile(files[0], [&](std::istream& in, std::string* error) {
+    return analysis.ParseJsonLines(in, error);
+  });
+  ok = ok && (files.size() == 1 ||
+              ReadFile(files[1], [&](std::istream& in, std::string* error) {
+                return dmrpc::obs::ParseTimelineJsonLines(in, &windows, error);
+              }));
+  if (!ok) return 2;
+  dmrpc::obs::WriteChromeTrace(std::cout, analysis.records(),
+                               analysis.dropped(), windows);
+  return 0;
+}
 
 /// One CSV row per (group, layer): the group's aggregate quantiles repeat
 /// on every row of the group, so each row is self-contained.
@@ -50,16 +94,10 @@ void PrintCsv(const std::string& path,
 }
 
 int AnalyzeFile(const std::string& path, bool check, bool csv) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "trace_analyze: cannot open %s\n", path.c_str());
-    return 2;
-  }
   dmrpc::obs::TraceAnalysis analysis;
-  std::string error;
-  if (!analysis.ParseJsonLines(in, &error)) {
-    std::fprintf(stderr, "trace_analyze: %s: parse error: %s\n", path.c_str(),
-                 error.c_str());
+  if (!ReadFile(path, [&](std::istream& in, std::string* error) {
+        return analysis.ParseJsonLines(in, error);
+      })) {
     return 2;
   }
   analysis.Build();
@@ -107,24 +145,27 @@ int AnalyzeFile(const std::string& path, bool check, bool csv) {
 int main(int argc, char** argv) {
   bool check = false;
   bool csv = false;
+  bool chrome = false;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
+    } else if (std::strcmp(argv[i], "--chrome") == 0) {
+      chrome = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: trace_analyze [--check] [--csv] <trace.jsonl>...\n");
+      std::printf("%s", kUsage);
       return 0;
     } else {
       files.push_back(argv[i]);
     }
   }
-  if (files.empty()) {
-    std::fprintf(stderr,
-                 "usage: trace_analyze [--check] [--csv] <trace.jsonl>...\n");
+  if (files.empty() || (chrome && (check || csv || files.size() > 2))) {
+    std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
+  if (chrome) return PrintChrome(files);
   int rc = 0;
   if (csv) {
     std::printf("file,group,layer,requests,p50_ns,p95_ns,p99_ns,max_ns,"

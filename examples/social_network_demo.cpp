@@ -12,6 +12,7 @@
 #include "apps/socialnet.h"
 #include "msvc/cluster.h"
 #include "msvc/workload.h"
+#include "workload/openloop.h"
 
 using namespace dmrpc;        // NOLINT: example brevity
 using namespace dmrpc::msvc;  // NOLINT
@@ -44,10 +45,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  WorkloadResult res =
-      msvc::RunOpenLoop(&sim, app.MakeMixedRequestFn(client), rate,
-                        /*warmup=*/100 * kMillisecond,
-                        /*measure=*/1 * kSecond);
+  workload::OpenLoopConfig load;  // one Poisson source
+  load.rate_rps = rate;
+  load.max_outstanding = 20000;
+  WorkloadResult res = workload::RunOpenLoopMulti(
+      &sim, {app.MakeMixedRequestFn(client)}, load,
+      /*warmup=*/100 * kMillisecond, /*measure=*/1 * kSecond);
 
   std::printf("completed %llu / offered %llu (failed %llu)\n",
               static_cast<unsigned long long>(res.completed),

@@ -202,6 +202,7 @@ FaultInjector::FaultInjector(net::Fabric* fabric)
   m_reordered_ = m.GetCounter("fault.packets_reordered");
   m_crashes_ = m.GetCounter("fault.node_crashes");
   m_restarts_ = m.GetCounter("fault.node_restarts");
+  m_switch_outages_ = m.GetCounter("fault.switch_outages");
   DMRPC_CHECK(fabric_->fault_hook() == nullptr)
       << "fabric already has a fault hook";
   fabric_->set_fault_hook(this);
@@ -281,9 +282,6 @@ void FaultInjector::SetSwitchDown(net::SwitchId switch_id, bool down) {
     if (depth == 1) {
       fabric_->SetSwitchUp(switch_id, false);
       stats_.switch_outages++;
-      if (m_switch_outages_ == nullptr) {
-        m_switch_outages_ = sim_->metrics().GetCounter("fault.switch_outages");
-      }
       m_switch_outages_->Inc();
       if (sim_->tracer().enabled()) {
         sim_->tracer().Instant("fault", "fault.switch_down", sim_->Now(),

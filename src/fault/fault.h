@@ -236,9 +236,7 @@ class FaultInjector final : public net::FaultHook {
   obs::Counter* m_reordered_;
   obs::Counter* m_crashes_;
   obs::Counter* m_restarts_;
-  /// Registered lazily on the first switch outage so fabric-only plans
-  /// keep their pre-topology metrics dumps byte-identical.
-  obs::Counter* m_switch_outages_ = nullptr;
+  obs::Counter* m_switch_outages_;
 };
 
 }  // namespace dmrpc::fault

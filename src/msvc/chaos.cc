@@ -205,8 +205,7 @@ ChaosReport RunChaosIteration(const ChaosOptions& opts) {
   // Every iteration runs traced: the sweep then doubles as a propagation
   // stress test (spans under drops, retransmits, link flaps and crashes)
   // on top of the data-plane invariants. The limit is far above what one
-  // iteration records, so nothing is shed and the metrics dump -- part of
-  // the determinism fingerprint -- never grows an obs.trace_dropped row.
+  // iteration records, so nothing is shed.
   sim.tracer().set_enabled(true);
   sim.tracer().set_limit(size_t{1} << 22);
   ClusterConfig cfg;

@@ -53,14 +53,8 @@ WorkloadResult RunClosedLoop(sim::Simulation* sim, const RequestFn& fn,
                              int workers, TimeNs warmup, TimeNs measure,
                              const WindowHooks& hooks = WindowHooks());
 
-/// Open-loop load: Poisson arrivals at `rate_rps`; each arrival spawns an
-/// independent request (up to `max_outstanding`, beyond which arrivals
-/// are dropped and counted as failed -- an overloaded system's latency
-/// climbs long before that cap binds).
-WorkloadResult RunOpenLoop(sim::Simulation* sim, const RequestFn& fn,
-                           double rate_rps, TimeNs warmup, TimeNs measure,
-                           int max_outstanding = 20000,
-                           const WindowHooks& hooks = WindowHooks());
+// Open-loop load lives in workload/openloop.h (workload::RunOpenLoopMulti):
+// one or many independent arrival sources against one shared result.
 
 }  // namespace dmrpc::msvc
 

@@ -41,7 +41,7 @@ void SloMonitor::AddObjective(SloObjective obj) {
 
 void SloMonitor::Evaluate(TimelineWindow* window,
                           const std::map<std::string, Histogram>& sketches,
-                          MetricsRegistry* reg, Tracer* tracer) {
+                          Tracer* tracer) {
   for (const SloObjective& obj : objectives_) {
     WindowSlo verdict;
     verdict.name = obj.name;
@@ -84,14 +84,6 @@ void SloMonitor::Evaluate(TimelineWindow* window,
       b.total = verdict.total;
       b.burn_milli = verdict.burn_milli;
       breaches_.push_back(b);
-      if (reg != nullptr) {
-        // Lazily registered, like obs.trace_dropped: the counter appears
-        // in dumps only for objectives that actually breached, and its
-        // presence is identical whether or not sampling was on (it can
-        // only exist when sampling is on, and the dump fingerprint
-        // comparison for zero-perturbation strips slo.* first).
-        reg->GetCounter("slo." + obj.name + ".breaches")->Inc();
-      }
       if (tracer != nullptr && tracer->enabled()) {
         tracer->Instant("slo", obj.name + " burn " +
                                    std::to_string(verdict.burn_milli) +

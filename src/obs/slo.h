@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "obs/metrics.h"
 #include "obs/timeline.h"
 
 namespace dmrpc::obs {
@@ -30,7 +29,7 @@ class Tracer;
 struct SloObjective {
   enum class Kind { kLatency, kRatio };
 
-  std::string name;  // registry/trace suffix, e.g. "rpc_call_p99"
+  std::string name;  // sidecar/trace label, e.g. "rpc_call_p99"
   Kind kind = Kind::kLatency;
 
   // kLatency:
@@ -64,12 +63,13 @@ struct SloBreach {
   int64_t burn_milli = 0;
 };
 
-/// Evaluates configured objectives against each sampled timeline window
-/// and emits burn-rate breach events into the metrics registry (a
-/// lazily-registered `slo.<name>.breaches` counter, mirroring the
-/// `obs.trace_dropped` appears-only-when-nonzero policy) and into the
-/// trace as instant records on the "slo" category, so breaches line up
-/// with spans on the Perfetto timeline.
+/// Evaluates configured objectives against each sampled timeline window.
+/// Verdicts land in three read-only places: the window's `slo` array
+/// (and so the `.timeline.jsonl` sidecar), breaches(), and -- when the
+/// tracer is recording -- an instant record on the "slo" trace category,
+/// so breaches line up with spans on the Perfetto timeline. The monitor
+/// never writes the metrics registry: arming it cannot move a metrics
+/// fingerprint.
 class SloMonitor {
  public:
   void AddObjective(SloObjective obj);
@@ -80,10 +80,10 @@ class SloMonitor {
   /// deltas and sketches are already computed), appends per-objective
   /// verdicts to window->slo, and records breaches. `window_sketches`
   /// maps timer name -> the window's diffed Histogram for latency
-  /// objectives. `reg` and `tracer` may be null (pure evaluation).
+  /// objectives. `tracer` may be null (pure evaluation).
   void Evaluate(TimelineWindow* window,
                 const std::map<std::string, Histogram>& window_sketches,
-                MetricsRegistry* reg, Tracer* tracer);
+                Tracer* tracer);
 
   uint64_t evaluations() const { return evaluations_; }
   const std::vector<SloBreach>& breaches() const { return breaches_; }

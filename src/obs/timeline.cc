@@ -29,7 +29,7 @@ void TimelineRecorder::Clear() {
   prev_timers_.clear();
 }
 
-void TimelineRecorder::SampleUpTo(TimeNs t, MetricsRegistry* reg,
+void TimelineRecorder::SampleUpTo(TimeNs t, const MetricsRegistry& reg,
                                   uint64_t events_executed,
                                   int64_t live_tasks, SloMonitor* slo,
                                   Tracer* tracer) {
@@ -46,7 +46,7 @@ void TimelineRecorder::SampleUpTo(TimeNs t, MetricsRegistry* reg,
   }
 }
 
-void TimelineRecorder::SampleOne(TimeNs boundary, MetricsRegistry* reg,
+void TimelineRecorder::SampleOne(TimeNs boundary, const MetricsRegistry& reg,
                                  uint64_t events_executed, int64_t live_tasks,
                                  SloMonitor* slo, Tracer* tracer) {
   if (windows_.size() >= max_windows_) {
@@ -63,7 +63,7 @@ void TimelineRecorder::SampleOne(TimeNs boundary, MetricsRegistry* reg,
   // summary; collect those (and only those) while diffing.
   std::map<std::string, Histogram> window_sketches;
 
-  reg->ForEachCounter([&](const std::string& name, const Counter& c) {
+  reg.ForEachCounter([&](const std::string& name, const Counter& c) {
     WindowCounter wc;
     wc.total = c.value();
     uint64_t& prev = prev_counters_[name];
@@ -72,10 +72,10 @@ void TimelineRecorder::SampleOne(TimeNs boundary, MetricsRegistry* reg,
     prev = wc.total;
     w.counters.emplace(name, wc);
   });
-  reg->ForEachGauge([&](const std::string& name, const Gauge& g) {
+  reg.ForEachGauge([&](const std::string& name, const Gauge& g) {
     w.gauges.emplace(name, WindowGauge{g.value(), g.max()});
   });
-  reg->ForEachTimer([&](const std::string& name, const Timer& t) {
+  reg.ForEachTimer([&](const std::string& name, const Timer& t) {
     auto it = prev_timers_.find(name);
     Histogram diff;
     if (it == prev_timers_.end()) {
@@ -103,20 +103,23 @@ void TimelineRecorder::SampleOne(TimeNs boundary, MetricsRegistry* reg,
   });
 
   if (slo != nullptr && slo->armed()) {
-    slo->Evaluate(&w, window_sketches, reg, tracer);
+    slo->Evaluate(&w, window_sketches, tracer);
   }
   windows_.push_back(std::move(w));
 }
 
 namespace {
 
-void AppendJsonKey(std::string* out, const std::string& name) {
+/// Appends `s` as a JSON string literal. Metric and objective names are
+/// plain identifiers; quoting the two structural characters keeps a
+/// stray one from breaking the line.
+void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (char c : name) {
+  for (char c : s) {
     if (c == '"' || c == '\\') out->push_back('\\');
     out->push_back(c);
   }
-  *out += "\":";
+  out->push_back('"');
 }
 
 }  // namespace
@@ -142,8 +145,8 @@ std::string TimelineRecorder::ToJsonLines() const {
     for (const auto& [name, c] : w.counters) {
       if (!first) out += ",";
       first = false;
-      AppendJsonKey(&out, name);
-      out += "{\"total\":" + std::to_string(c.total);
+      AppendJsonString(&out, name);
+      out += ":{\"total\":" + std::to_string(c.total);
       out += ",\"delta\":" + std::to_string(c.delta) + "}";
     }
     out += "},\"gauges\":{";
@@ -151,8 +154,8 @@ std::string TimelineRecorder::ToJsonLines() const {
     for (const auto& [name, g] : w.gauges) {
       if (!first) out += ",";
       first = false;
-      AppendJsonKey(&out, name);
-      out += "{\"value\":" + std::to_string(g.value);
+      AppendJsonString(&out, name);
+      out += ":{\"value\":" + std::to_string(g.value);
       out += ",\"max\":" + std::to_string(g.max) + "}";
     }
     out += "},\"timers\":{";
@@ -160,8 +163,8 @@ std::string TimelineRecorder::ToJsonLines() const {
     for (const auto& [name, t] : w.timers) {
       if (!first) out += ",";
       first = false;
-      AppendJsonKey(&out, name);
-      out += "{\"count\":" + std::to_string(t.count);
+      AppendJsonString(&out, name);
+      out += ":{\"count\":" + std::to_string(t.count);
       out += ",\"sum\":" + std::to_string(t.sum);
       out += ",\"p50\":" + std::to_string(t.p50);
       out += ",\"p99\":" + std::to_string(t.p99);
@@ -172,7 +175,8 @@ std::string TimelineRecorder::ToJsonLines() const {
     for (size_t s = 0; s < w.slo.size(); ++s) {
       const WindowSlo& v = w.slo[s];
       if (s > 0) out += ",";
-      out += "{\"name\":\"" + v.name + "\"";
+      out += "{\"name\":";
+      AppendJsonString(&out, v.name);
       out += ",\"bad\":" + std::to_string(v.bad);
       out += ",\"total\":" + std::to_string(v.total);
       out += ",\"burn_milli\":" + std::to_string(v.burn_milli);
@@ -183,47 +187,37 @@ std::string TimelineRecorder::ToJsonLines() const {
   return out;
 }
 
-void TimelineRecorder::WriteCounterTrack(
-    std::ostream& os, const std::vector<std::string>& series) const {
-  auto wanted = [&series](const std::string& name) {
-    if (series.empty()) return true;
-    for (const std::string& s : series) {
-      if (s == name) return true;
-    }
-    return false;
-  };
-  os << "{\"traceEvents\":[";
-  bool first = true;
+void WriteChromeCounterEvents(std::ostream& os,
+                              const std::vector<TimelineWindow>& windows,
+                              bool* first) {
+  std::string ev;
   auto emit = [&](const std::string& name, TimeNs ts_ns, int64_t value) {
-    if (!first) os << ",";
-    first = false;
     // trace_event counter phase; ts is microseconds in the viewer.
-    os << "\n{\"name\":\"" << name << "\",\"ph\":\"C\",\"pid\":0,\"tid\":0,"
-       << "\"ts\":" << ts_ns / 1000 << ",\"args\":{\"value\":" << value
-       << "}}";
+    ev = *first ? "{\"name\":" : ",{\"name\":";
+    *first = false;
+    AppendJsonString(&ev, name);
+    ev += ",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":" +
+          std::to_string(ts_ns / 1000) +
+          ",\"args\":{\"value\":" + std::to_string(value) + "}}";
+    os << ev;
   };
-  for (const TimelineWindow& w : windows_) {
+  for (const TimelineWindow& w : windows) {
     for (const auto& [name, c] : w.counters) {
       if (c.delta == 0 && c.total == 0) continue;  // all-quiet series
-      if (!wanted(name)) continue;
       emit(name + ".rate", w.end_ns, static_cast<int64_t>(c.delta));
     }
     for (const auto& [name, g] : w.gauges) {
       if (g.value == 0 && g.max == 0) continue;
-      if (!wanted(name)) continue;
       emit(name, w.end_ns, g.value);
     }
     for (const auto& [name, t] : w.timers) {
       if (t.count == 0) continue;
-      if (!wanted(name)) continue;
       emit(name + ".p99", w.end_ns, t.p99);
     }
     for (const WindowSlo& v : w.slo) {
-      if (!wanted("slo." + v.name)) continue;
       emit("slo." + v.name + ".burn_milli", w.end_ns, v.burn_milli);
     }
   }
-  os << "\n]}\n";
 }
 
 }  // namespace dmrpc::obs

@@ -90,11 +90,9 @@ struct TimelineWindow {
 ///
 /// Sampling is strictly read-only against the registry: it never
 /// schedules events, never consumes randomness, and never registers or
-/// writes metrics, so enabling it cannot perturb the simulated workload
-/// (the zero-perturbation bar the tracer set). The one documented
-/// exception is the SLO monitor, which registers `slo.<name>.breaches`
-/// counters on the first breach of a configured objective -- the same
-/// visible-only-when-it-happened policy as `obs.trace_dropped`.
+/// writes metrics -- SLO verdicts included -- so enabling it cannot
+/// perturb the simulated workload or its metrics dump (the
+/// zero-perturbation bar the tracer set).
 class TimelineRecorder {
  public:
   /// Arms the sampler: boundaries at anchor + k * interval_ns, k >= 1.
@@ -110,10 +108,10 @@ class TimelineRecorder {
 
   /// Samples every pending boundary B <= t, in order. The caller must
   /// not yet have executed any event with timestamp >= the first pending
-  /// boundary. `slo` and `tracer` may be null; `reg` is written only by
-  /// the SLO monitor on breaches.
-  void SampleUpTo(TimeNs t, MetricsRegistry* reg, uint64_t events_executed,
-                  int64_t live_tasks, SloMonitor* slo, Tracer* tracer);
+  /// boundary. `slo` and `tracer` may be null.
+  void SampleUpTo(TimeNs t, const MetricsRegistry& reg,
+                  uint64_t events_executed, int64_t live_tasks,
+                  SloMonitor* slo, Tracer* tracer);
 
   const std::vector<TimelineWindow>& windows() const { return windows_; }
   /// Windows discarded past TimelineConfig::max_windows.
@@ -124,22 +122,13 @@ class TimelineRecorder {
   /// This is the `.timeline.jsonl` sidecar format.
   std::string ToJsonLines() const;
 
-  /// Writes a Chrome trace_event / Perfetto counter-track file: one
-  /// "ph":"C" event per window per selected series, so queue depths and
-  /// per-window p99s render as counter tracks above the span timeline.
-  /// `series` names counters/gauges/timers to plot (counters plot their
-  /// window delta, gauges their level, timers their window p99); an
-  /// empty list plots everything.
-  void WriteCounterTrack(std::ostream& os,
-                         const std::vector<std::string>& series = {}) const;
-
   /// Drops recorded windows and baseline snapshots but keeps the
   /// configuration and the boundary grid (benches reuse one recorder
   /// across phases).
   void Clear();
 
  private:
-  void SampleOne(TimeNs boundary, MetricsRegistry* reg,
+  void SampleOne(TimeNs boundary, const MetricsRegistry& reg,
                  uint64_t events_executed, int64_t live_tasks,
                  SloMonitor* slo, Tracer* tracer);
 
@@ -152,6 +141,14 @@ class TimelineRecorder {
   std::map<std::string, uint64_t> prev_counters_;
   std::map<std::string, Histogram> prev_timers_;
 };
+
+/// Writes one Chrome "ph":"C" counter event per window per series that is
+/// not all zero: counters plot their window delta (`<name>.rate`), gauges
+/// their level, timers their window p99 (`<name>.p99`), SLOs their burn
+/// rate. Same `*first` protocol as WriteChromeSpanEvents.
+void WriteChromeCounterEvents(std::ostream& os,
+                              const std::vector<TimelineWindow>& windows,
+                              bool* first);
 
 }  // namespace dmrpc::obs
 

@@ -265,24 +265,24 @@ void Tracer::WriteJsonLines(std::ostream& os) const {
      << dropped_ << "}}\n";
 }
 
-void Tracer::WriteChromeTrace(std::ostream& os) const {
+void WriteChromeSpanEvents(std::ostream& os,
+                           const std::vector<TraceRecord>& records,
+                           bool* first) {
   // Pair span ends with their begins so spans can be emitted as complete
   // ("X") events, which viewers render without needing balanced B/E
   // streams per thread.
   std::unordered_map<uint64_t, TimeNs> end_time;
   TimeNs last = 0;
-  for (const TraceRecord& r : records_) {
+  for (const TraceRecord& r : records) {
     if (r.time > last) last = r.time;
     if (r.phase == TracePhase::kSpanEnd) end_time.emplace(r.id, r.time);
   }
 
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
   char buf[64];
-  for (const TraceRecord& r : records_) {
+  for (const TraceRecord& r : records) {
     if (r.phase == TracePhase::kSpanEnd) continue;  // folded into "X"
-    if (!first) os << ",";
-    first = false;
+    if (!*first) os << ",";
+    *first = false;
     std::string ev = "{\"pid\":0,\"tid\":" + std::to_string(r.track);
     // Chrome timestamps are microseconds; keep ns precision fractionally.
     std::snprintf(buf, sizeof(buf), "%" PRId64 ".%03d", r.time / 1000,
@@ -315,13 +315,6 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
     ev += "}";
     os << ev;
   }
-  // Trailing metadata event: a viewer (or a human) can tell a truncated
-  // trace from a complete one.
-  if (!first) os << ",";
-  os << "{\"pid\":0,\"tid\":0,\"ph\":\"M\",\"name\":\"trace_metadata\","
-        "\"args\":{\"dropped\":"
-     << dropped_ << "}}";
-  os << "]}\n";
 }
 
 }  // namespace dmrpc::obs

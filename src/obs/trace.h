@@ -39,18 +39,18 @@ struct TraceRecord {
 };
 
 /// Records typed spans and instants on the simulation's virtual-time
-/// axis and exports them as JSON-lines or as a Chrome `trace_event` file
-/// loadable in chrome://tracing or https://ui.perfetto.dev.
+/// axis and exports them as JSON-lines, the one trace encoding;
+/// `trace_analyze` makes the breakdown and Chrome views from it offline.
 ///
 /// The tracer is owned by `sim::Simulation` and is purely observational:
-/// recording never schedules events, consumes randomness, or otherwise
-/// perturbs the run, so enabling it cannot change any measured number.
-/// It is disabled by default (Begin/Instant are a single branch); when
-/// enabled it keeps at most `limit()` records in memory and counts the
-/// overflow in dropped(). A nonzero drop count is surfaced three ways so
-/// a truncated trace is detectable instead of silently misleading: the
-/// dropped() accessor, a metadata record in both export formats, and an
-/// `obs.trace_dropped` entry folded into the simulation metrics dump.
+/// recording never schedules events, consumes randomness, writes the
+/// metrics registry, or otherwise perturbs the run, so enabling it cannot
+/// change any measured number. It is disabled by default (Begin/Instant
+/// are a single branch); when enabled it keeps at most `limit()` records
+/// in memory and counts the overflow in dropped(). A nonzero drop count
+/// is surfaced two ways so a truncated trace is detectable instead of
+/// silently misleading: the dropped() accessor and the JSONL metadata
+/// line, which `trace_analyze --check` fails on.
 class Tracer {
  public:
   Tracer() = default;
@@ -121,13 +121,6 @@ class Tracer {
   /// a metadata line {"ph":"M",...,"args":{"dropped":N}}.
   void WriteJsonLines(std::ostream& os) const;
 
-  /// Chrome trace_event JSON (the `{"traceEvents":[...]}` form). Spans
-  /// become complete ("X") slices with microsecond timestamps, instants
-  /// become "i" events; the track maps to `tid`, layers ("cat") are
-  /// preserved for filtering in the viewer, and trace/parent ids ride in
-  /// `args`. A final metadata event reports dropped().
-  void WriteChromeTrace(std::ostream& os) const;
-
  private:
   bool Full() const { return records_.size() >= limit_; }
   uint64_t BeginSpanRecord(uint64_t trace_id, uint64_t parent_id,
@@ -146,6 +139,15 @@ class Tracer {
   std::unordered_map<uint64_t, uint64_t> open_copied_;
   std::unordered_map<uint32_t, uint32_t> depth_by_track_;
 };
+
+/// Writes `records` as comma-separated Chrome trace_event objects (no
+/// comma before the first when `*first`, which is then cleared). Spans
+/// become complete ("X") slices with microsecond timestamps, instants
+/// "i" events; the track maps to `tid`, layers ("cat") are preserved for
+/// filtering in the viewer, and trace/parent ids ride in `args`.
+void WriteChromeSpanEvents(std::ostream& os,
+                           const std::vector<TraceRecord>& records,
+                           bool* first);
 
 /// The ambient trace context, minting a fresh root trace (sampled, no
 /// parent span) from `tracer` when no trace is active. Layers that can

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 namespace dmrpc::obs {
 
@@ -14,9 +16,10 @@ namespace {
 constexpr size_t kMaxProblemDescriptions = 10;
 
 // --- JSONL parsing ---------------------------------------------------------
-// The parser accepts exactly what Tracer::WriteJsonLines emits (one flat
-// object per line; string, integer, or object values). Unknown keys are
-// skipped so the format can grow without breaking old analyzers.
+// The trace parser accepts exactly what Tracer::WriteJsonLines emits (one
+// flat object per line; string, integer, or object values), skipping
+// unknown keys so the format can grow without breaking old analyzers.
+// The timeline parser reads TimelineRecorder::ToJsonLines' fixed layout.
 
 struct Cursor {
   const std::string& s;
@@ -111,6 +114,77 @@ bool ParseRawValue(Cursor* c, std::string* out) {
     }
   }
   return false;
+}
+
+/// Parses `{"key":value,...}`; `value(key)` must consume each value.
+template <typename Fn>
+bool ParseObject(Cursor* c, Fn&& value) {
+  if (!c->Eat('{')) return false;
+  if (c->Eat('}')) return true;
+  do {
+    std::string key;
+    if (!ParseString(c, &key) || !c->Eat(':') || !value(key)) return false;
+  } while (c->Eat(','));
+  return c->Eat('}');
+}
+
+/// Matches `fmt` against the cursor: literal text must match exactly and
+/// each '%' reads one integer into the next of `out`.
+template <typename... Ints>
+bool Scan(Cursor* c, std::string_view fmt, Ints*... out) {
+  size_t pos = 0;
+  auto literal = [&] {  // up to the next '%', or the end
+    for (; pos < fmt.size() && fmt[pos] != '%'; ++pos) {
+      if (!c->Eat(fmt[pos])) return false;
+    }
+    return true;
+  };
+  [[maybe_unused]] auto field = [&](auto* o) {
+    int64_t v = 0;
+    if (!literal() || !ParseInt(c, &v)) return false;
+    ++pos;
+    *o = static_cast<std::remove_pointer_t<decltype(o)>>(v);
+    return true;
+  };
+  return (field(out) && ...) && literal();
+}
+
+/// One `.timeline.jsonl` window line, exactly as
+/// TimelineRecorder::ToJsonLines writes it; `*index` gets its "window".
+bool ParseTimelineWindow(Cursor* c, TimelineWindow* w, int64_t* index) {
+  bool ok =
+      Scan(c,
+           "{\"window\":%,\"start_ns\":%,\"end_ns\":%,"
+           "\"events_executed\":%,\"live_tasks\":%,\"counters\":",
+           index, &w->start_ns, &w->end_ns, &w->events_executed,
+           &w->live_tasks) &&
+      ParseObject(c, [&](const std::string& name) {
+        WindowCounter& v = w->counters[name];
+        return Scan(c, "{\"total\":%,\"delta\":%}", &v.total, &v.delta);
+      }) &&
+      Scan(c, ",\"gauges\":") && ParseObject(c, [&](const std::string& name) {
+        WindowGauge& v = w->gauges[name];
+        return Scan(c, "{\"value\":%,\"max\":%}", &v.value, &v.max);
+      }) &&
+      Scan(c, ",\"timers\":") && ParseObject(c, [&](const std::string& name) {
+        WindowTimer& v = w->timers[name];
+        return Scan(c,
+                    "{\"count\":%,\"sum\":%,\"p50\":%,\"p99\":%,"
+                    "\"p999\":%,\"max\":%}",
+                    &v.count, &v.sum, &v.p50, &v.p99, &v.p999, &v.max);
+      }) &&
+      Scan(c, ",\"slo\":[");
+  if (!ok) return false;
+  if (c->Eat(']')) return Scan(c, "}");
+  do {
+    WindowSlo& v = w->slo.emplace_back();
+    if (!Scan(c, "{\"name\":") || !ParseString(c, &v.name) ||
+        !Scan(c, ",\"bad\":%,\"total\":%,\"burn_milli\":%,\"breached\":%}",
+              &v.bad, &v.total, &v.burn_milli, &v.breached)) {
+      return false;
+    }
+  } while (c->Eat(','));
+  return Scan(c, "]}");
 }
 
 // --- report formatting -----------------------------------------------------
@@ -481,6 +555,65 @@ std::string TraceAnalysis::TextReport() const {
     AppendAggregate(os, label, agg);
   }
   return os.str();
+}
+
+bool ParseTimelineJsonLines(std::istream& is,
+                            std::vector<TimelineWindow>* windows,
+                            std::string* error) {
+  windows->clear();
+  std::string line;
+  size_t lineno = 0;
+  int64_t expected = -1;  // the header's window count, once seen
+  auto fail = [&](const std::string& what) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(lineno) + ": " + what;
+    }
+    return false;
+  };
+  while (std::getline(is, line)) {
+    ++lineno;
+    if (line.empty()) continue;
+    Cursor c{line};
+    if (expected < 0) {
+      int64_t interval = 0, dropped = 0;
+      if (!Scan(&c,
+                "{\"timeline\":{\"interval_ns\":%,\"windows\":%,"
+                "\"dropped_windows\":%}}",
+                &interval, &expected, &dropped) ||
+          !c.done()) {
+        return fail("expected the timeline header");
+      }
+      continue;
+    }
+    TimelineWindow w;
+    int64_t index = -1;
+    if (!ParseTimelineWindow(&c, &w, &index) || !c.done()) {
+      return fail("malformed window");
+    }
+    if (index != static_cast<int64_t>(windows->size())) {
+      return fail("window " + std::to_string(index) + " out of sequence");
+    }
+    windows->push_back(std::move(w));
+  }
+  if (expected < 0) return fail("missing the timeline header");
+  if (static_cast<int64_t>(windows->size()) != expected) {
+    return fail("header promises " + std::to_string(expected) +
+                " windows, found " + std::to_string(windows->size()));
+  }
+  return true;
+}
+
+void WriteChromeTrace(std::ostream& os, const std::vector<TraceRecord>& records,
+                      size_t dropped,
+                      const std::vector<TimelineWindow>& windows) {
+  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+  bool first = true;
+  WriteChromeSpanEvents(os, records, &first);
+  WriteChromeCounterEvents(os, windows, &first);
+  if (!first) os << ",";
+  os << "{\"pid\":0,\"tid\":0,\"ph\":\"M\",\"name\":\"trace_metadata\","
+        "\"args\":{\"dropped\":"
+     << dropped << "}}]}\n";
 }
 
 }  // namespace dmrpc::obs

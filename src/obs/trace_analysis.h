@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <istream>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 
 namespace dmrpc::obs {
@@ -107,6 +109,7 @@ class TraceAnalysis {
   /// Must be called after ingestion, before any query below.
   void Build();
 
+  const std::vector<TraceRecord>& records() const { return records_; }
   const std::vector<SpanNode>& spans() const { return spans_; }
   size_t dropped() const { return dropped_; }
 
@@ -144,6 +147,20 @@ class TraceAnalysis {
   size_t dropped_ = 0;
   bool built_ = false;
 };
+
+/// Parses a TimelineRecorder::ToJsonLines sidecar back into windows.
+/// Returns false (with *error set) on a line not in the writer's layout
+/// or a window count that disagrees with the header's.
+bool ParseTimelineJsonLines(std::istream& is,
+                            std::vector<TimelineWindow>* windows,
+                            std::string* error);
+
+/// Writes one Chrome trace_event / Perfetto file: `records`' spans and
+/// instants, `windows`' counter tracks, and a closing metadata event
+/// carrying `dropped` (a truncated trace is told apart from a whole one).
+void WriteChromeTrace(std::ostream& os, const std::vector<TraceRecord>& records,
+                      size_t dropped,
+                      const std::vector<TimelineWindow>& windows = {});
 
 }  // namespace dmrpc::obs
 

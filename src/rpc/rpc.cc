@@ -36,6 +36,8 @@ Rpc::Rpc(net::Fabric* fabric, net::NodeId node, net::Port port, RpcConfig cfg)
   m_credit_stalls_ = m.GetCounter("rpc.credit_stalls");
   m_tx_packets_ = m.GetCounter("rpc.tx_packets");
   m_rx_packets_ = m.GetCounter("rpc.rx_packets");
+  m_session_resets_ = m.GetCounter("rpc.session_resets");
+  m.GetCounter("rpc.bytes_copied");  // incremented by AccountPayloadCopy
   m_in_flight_ = m.GetGauge("rpc.in_flight");
   m_call_ns_ = m.GetTimer("rpc.call");
   m_slot_wait_ns_ = m.GetTimer("rpc.slot_wait");
@@ -510,9 +512,6 @@ void Rpc::ResetSession(SessionId session, Status status) {
     }
   }
   stats_.session_resets++;
-  if (m_session_resets_ == nullptr) {
-    m_session_resets_ = sim_->metrics().GetCounter("rpc.session_resets");
-  }
   m_session_resets_->Inc();
   if (sim_->tracer().enabled()) {
     sim_->tracer().Instant("rpc", "rpc.session_reset", sim_->Now(), node_,

@@ -330,10 +330,7 @@ class Rpc {
   obs::Counter* m_credit_stalls_;
   obs::Counter* m_tx_packets_;
   obs::Counter* m_rx_packets_;
-  /// Registered lazily on the first reset so the registry dump (a
-  /// determinism artifact with baked-in fingerprints in bench/simcore)
-  /// stays byte-identical for fault-free runs.
-  obs::Counter* m_session_resets_ = nullptr;
+  obs::Counter* m_session_resets_;
   /// Outstanding client Calls (level + high-watermark).
   obs::Gauge* m_in_flight_;
   obs::Timer* m_call_ns_;

@@ -74,9 +74,6 @@ void AccountPayloadCopy(size_t n) {
   if (n == 0) return;
   sim::Simulation* s = sim::Simulation::Current();
   if (s == nullptr) return;
-  // Registered lazily on the first accounted copy so that runs whose
-  // message path stays copy-free dump byte-identical metrics JSON (the
-  // determinism fingerprints depend on it).
   s->metrics().GetCounter("rpc.bytes_copied")->Inc(static_cast<int64_t>(n));
   if (s->tracer().enabled()) {
     // Attribute the copy to the nearest enclosing local span: the

@@ -69,12 +69,12 @@ struct PacketHeader {
 };
 
 /// Accounts `n` payload bytes memcpy'd on the message path (chain
-/// materialization, coalescing fallbacks) to the lazily registered
-/// `rpc.bytes_copied` counter of the current simulation, if any. The
-/// initial producer write into a chain and the consumer handoff out of
-/// one (ReadBytes into user memory / page frames -- the NIC-DMA
-/// boundary) are deliberately *not* accounted: those are the two copies
-/// a real zero-copy stack also performs. A steady-state zero-copy RPC
+/// materialization, coalescing fallbacks) to the `rpc.bytes_copied`
+/// counter of the current simulation, if any (every rpc::Rpc registers
+/// it at construction). The initial producer write into a chain and the
+/// consumer handoff out of one (ReadBytes into user memory / page frames
+/// -- the NIC-DMA boundary) are deliberately *not* accounted: those are
+/// the two copies a real zero-copy stack also performs. A steady-state zero-copy RPC
 /// path therefore keeps this counter at 0.
 void AccountPayloadCopy(size_t n);
 

@@ -60,14 +60,6 @@ std::string Simulation::DumpMetricsJson() {
   metrics_.GetGauge("sim.events_executed")->Set(static_cast<int64_t>(executed_));
   metrics_.GetGauge("sim.live_tasks")->Set(live_tasks_);
   metrics_.GetGauge("sim.now_ns")->Set(now_);
-  // Folded only when records were actually shed: a run whose trace fits
-  // in the limit (and every tracing-off run) dumps byte-identical JSON,
-  // which the zero-perturbation fingerprints depend on. A truncated
-  // trace, by contrast, *should* be loudly visible in the sidecar.
-  if (tracer_.dropped() > 0) {
-    metrics_.GetGauge("obs.trace_dropped")
-        ->Set(static_cast<int64_t>(tracer_.dropped()));
-  }
   return metrics_.DumpJson();
 }
 
@@ -82,7 +74,7 @@ void Simulation::Spawn(Task<> task) {
 
 void Simulation::FlushTimeline(TimeNs up_to) {
   if (up_to < tl_next_) return;
-  timeline_.SampleUpTo(up_to, &metrics_, executed_, live_tasks_, &slo_,
+  timeline_.SampleUpTo(up_to, metrics_, executed_, live_tasks_, &slo_,
                        &tracer_);
   tl_next_ = timeline_.next_boundary();
 }

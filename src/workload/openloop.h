@@ -55,8 +55,8 @@ struct OpenLoopConfig {
 /// request per arrival, so completions never gate arrivals. Latencies and
 /// completions are recorded during [warmup, warmup+measure) only.
 ///
-/// Generalizes msvc::RunOpenLoop (single Poisson source) to the
-/// datacenter-scale suite; identically-seeded runs are bit-identical.
+/// One source with the default Poisson arrivals is the classic single
+/// open-loop client; identically-seeded runs are bit-identical.
 msvc::WorkloadResult RunOpenLoopMulti(
     sim::Simulation* sim, const std::vector<msvc::RequestFn>& sources,
     const OpenLoopConfig& cfg, TimeNs warmup, TimeNs measure,

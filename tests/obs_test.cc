@@ -6,6 +6,7 @@
 #include "net/fabric.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "obs/trace_analysis.h"
 #include "rpc/rpc.h"
 #include "sim/simulation.h"
 
@@ -208,7 +209,7 @@ TEST(TracerTest, ChromeTraceExportsCompleteEvents) {
   t.EndSpan(a, 2000);
   t.Instant("net", "net.pkt.drop", 1500, 4);
   std::ostringstream os;
-  t.WriteChromeTrace(os);
+  WriteChromeTrace(os, t.records(), t.dropped());
   std::string out = os.str();
   EXPECT_NE(out.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);  // complete spans

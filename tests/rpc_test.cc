@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "fault/fault.h"
 #include "net/fabric.h"
 #include "rpc/rpc.h"
 #include "rpc/wire.h"
@@ -356,6 +357,24 @@ TEST(RpcCreditTest, CreditsBoundInFlightPackets) {
   sim.Spawn(driver());
   sim.RunFor(5 * kSecond);
   EXPECT_TRUE(done);
+}
+
+// ---------------------------------------------------------------------------
+// One registration rule: every counter a layer can ever increment exists,
+// at 0, from the layer's constructor on.
+// ---------------------------------------------------------------------------
+
+TEST(EagerRegistrationTest, FreshRpcAndInjectorDumpTheirCountersAtZero) {
+  sim::Simulation sim(1);
+  net::Fabric fabric(&sim, net::NetworkConfig{}, 2);
+  Rpc rpc(&fabric, 0, 100);
+  fault::FaultInjector injector(&fabric);
+  std::string dump = sim.DumpMetricsJson();
+  for (const char* key :
+       {"rpc.session_resets", "rpc.bytes_copied", "fault.switch_outages"}) {
+    EXPECT_NE(dump.find(std::string("\"") + key + "\":0"), std::string::npos)
+        << key;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "obs/slo.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "obs/trace_analysis.h"
 #include "rpc/rpc.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -107,14 +109,15 @@ sim::Task<> ClientWorker(rpc::Rpc* client, net::NodeId server, int calls,
 }
 
 /// Two-node echo workload driven for a fixed virtual duration, sampled at
-/// `interval`. Returns the simulation for inspection.
+/// `interval`. `arm`, when set, arms further observers before the run.
+/// Returns the simulation for inspection.
 struct EchoRun {
   std::unique_ptr<sim::Simulation> sim;
   uint64_t ok_calls = 0;
 };
 
 EchoRun RunEchoWorkload(uint64_t seed, TimeNs interval, TimeNs duration,
-                        bool sample) {
+                        bool sample, void (*arm)(sim::Simulation&) = nullptr) {
   EchoRun out;
   out.sim = std::make_unique<sim::Simulation>(seed);
   sim::Simulation& sim = *out.sim;
@@ -123,6 +126,7 @@ EchoRun RunEchoWorkload(uint64_t seed, TimeNs interval, TimeNs duration,
     cfg.interval_ns = interval;
     sim.EnableTimeline(cfg);
   }
+  if (arm != nullptr) arm(sim);
   net::Fabric fabric(&sim, net::NetworkConfig{}, 2);
   rpc::Rpc server(&fabric, 0, 100);
   rpc::Rpc client(&fabric, 1, 200);
@@ -206,6 +210,78 @@ TEST(TimelineRecorderTest, SamplingDoesNotPerturbTheRun) {
   EXPECT_EQ(on.sim->DumpMetricsJson(), off.sim->DumpMetricsJson());
 }
 
+/// Arms a latency objective every echo call breaches (no call takes 1 ns)
+/// and a tracer too small for the run, so it sheds records.
+void ArmBreachingSloAndSheddingTracer(sim::Simulation& sim) {
+  sim.slo().AddObjective(
+      obs::SloObjective::Latency("echo_1ns", "rpc.call", 1, /*budget=*/0.01));
+  sim.tracer().set_enabled(true);
+  sim.tracer().set_limit(64);
+}
+
+TEST(TimelineRecorderTest, ArmedObservationLeavesMetricsDumpByteIdentical) {
+  // Observation never writes the registry: SLO breaches and shed trace
+  // records are reported by the monitor, the sidecars and the tracer,
+  // not by extra metrics, so the dump matches the unarmed run's.
+  EchoRun off = RunEchoWorkload(11, 0, 2 * kMillisecond, /*sample=*/false);
+  EchoRun on = RunEchoWorkload(11, 100 * kMicrosecond, 2 * kMillisecond,
+                               /*sample=*/true,
+                               ArmBreachingSloAndSheddingTracer);
+  ASSERT_FALSE(on.sim->slo().breaches().empty());
+  ASSERT_GT(on.sim->tracer().dropped(), 0u);
+  EXPECT_EQ(on.sim->executed_events(), off.sim->executed_events());
+  EXPECT_EQ(on.sim->DumpMetricsJson(), off.sim->DumpMetricsJson());
+}
+
+TEST(TimelineRecorderTest, ChromeCountersFromParsedSidecarMatchInMemory) {
+  EchoRun run = RunEchoWorkload(13, 100 * kMicrosecond, 2 * kMillisecond,
+                                /*sample=*/true,
+                                ArmBreachingSloAndSheddingTracer);
+  const std::vector<obs::TimelineWindow>& windows =
+      run.sim->timeline().windows();
+  std::istringstream in(run.sim->timeline().ToJsonLines());
+  std::vector<obs::TimelineWindow> parsed;
+  std::string error;
+  ASSERT_TRUE(obs::ParseTimelineJsonLines(in, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.size(), windows.size());
+
+  std::ostringstream direct, reparsed;
+  obs::WriteChromeTrace(direct, {}, 0, windows);
+  obs::WriteChromeTrace(reparsed, {}, 0, parsed);
+  EXPECT_EQ(reparsed.str(), direct.str());
+  EXPECT_NE(direct.str().find("\"name\":\"rpc.requests_sent.rate\""),
+            std::string::npos);
+  EXPECT_NE(direct.str().find("\"name\":\"slo.echo_1ns.burn_milli\""),
+            std::string::npos);
+}
+
+TEST(TimelineRecorderTest, TruncatedOrGarbledSidecarIsAParseError) {
+  EchoRun run = RunEchoWorkload(42, 100 * kMicrosecond, 1 * kMillisecond,
+                                /*sample=*/true);
+  const std::string good = run.sim->timeline().ToJsonLines();
+  auto parses = [](const std::string& text) {
+    std::istringstream in(text);
+    std::vector<obs::TimelineWindow> windows;
+    std::string error;
+    bool ok = obs::ParseTimelineJsonLines(in, &windows, &error);
+    EXPECT_EQ(ok, error.empty());
+    return ok;
+  };
+  ASSERT_TRUE(parses(good));
+
+  // The last window line cut short, as by a killed writer.
+  size_t last_line = good.rfind('\n', good.size() - 2) + 1;
+  EXPECT_FALSE(parses(good.substr(0, last_line + 40)));
+  // The last window line missing entirely: the header's count disagrees.
+  EXPECT_FALSE(parses(good.substr(0, last_line)));
+  // A garbled value inside a window.
+  std::string garbled = good;
+  garbled[garbled.find("\"end_ns\":") + 9] = 'x';
+  EXPECT_FALSE(parses(garbled));
+  // No header line.
+  EXPECT_FALSE(parses(good.substr(good.find('\n') + 1)));
+}
+
 // ---------------------------------------------------------------------------
 // Sampler determinism on a Clos fabric: the timeline sidecar must be
 // byte-identical across identically-seeded reruns. Cross-leaf traffic
@@ -271,7 +347,7 @@ TEST(SloMonitorTest, RatioObjectiveBurnAndClamp) {
   obs::TimelineWindow w;
   w.counters["net.dropped"] = obs::WindowCounter{2, 2};
   w.counters["net.forwarded"] = obs::WindowCounter{1000, 1000};
-  mon.Evaluate(&w, {}, nullptr, nullptr);
+  mon.Evaluate(&w, {}, nullptr);
   ASSERT_EQ(w.slo.size(), 1u);
   EXPECT_EQ(w.slo[0].bad, 2u);
   EXPECT_EQ(w.slo[0].total, 1000u);
@@ -285,7 +361,7 @@ TEST(SloMonitorTest, RatioObjectiveBurnAndClamp) {
   obs::TimelineWindow w2;
   w2.counters["net.dropped"] = obs::WindowCounter{5, 3};
   w2.counters["net.forwarded"] = obs::WindowCounter{1000, 0};
-  mon.Evaluate(&w2, {}, nullptr, nullptr);
+  mon.Evaluate(&w2, {}, nullptr);
   ASSERT_EQ(w2.slo.size(), 1u);
   EXPECT_EQ(w2.slo[0].total, 3u);
   EXPECT_EQ(w2.slo[0].burn_milli, 100000);
@@ -294,7 +370,7 @@ TEST(SloMonitorTest, RatioObjectiveBurnAndClamp) {
   EXPECT_EQ(mon.breaches()[0].name, "drops");
 }
 
-TEST(SloMonitorTest, LatencyBreachEmitsCounterAndTraceInstant) {
+TEST(SloMonitorTest, LatencyBreachRecordsVerdictAndTraceInstant) {
   sim::Simulation sim(5);
   obs::TimelineConfig cfg;
   cfg.interval_ns = 100 * kMicrosecond;
@@ -321,10 +397,7 @@ TEST(SloMonitorTest, LatencyBreachEmitsCounterAndTraceInstant) {
   EXPECT_GT(b.bad, 0u);
   EXPECT_GE(b.burn_milli, 1000);  // burning at >= 1.0
 
-  // Breaches surface in the registry (lazily registered counter) and as
-  // instant records on the "slo" trace category.
-  EXPECT_EQ(sim.metrics().CounterValue("slo.echo_1ns.breaches"),
-            sim.slo().breaches().size());
+  // Breaches surface as instant records on the "slo" trace category.
   bool saw_instant = false;
   for (const auto& r : sim.tracer().records()) {
     if (r.cat == "slo") saw_instant = true;

@@ -1,10 +1,14 @@
 // Unit tests for obs::TraceAnalysis: span-tree reconstruction, structural
 // well-formedness verdicts, the critical-path exact-sum invariant, JSONL
-// round-tripping, and report determinism on a real RPC workload.
+// round-tripping, report determinism on a real RPC workload, and the
+// Chrome view trace_analyze builds from parsed sidecars.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -222,6 +226,73 @@ TEST(TraceAnalysisTest, JsonRoundTripReproducesTheReport) {
     EXPECT_EQ(layer_sum, bd.latency);
     EXPECT_EQ(hop_sum, bd.latency);
   }
+}
+
+TEST(TraceAnalysisTest, ChromeFromParsedJsonLinesMatchesInMemory) {
+  sim::Simulation sim(4321);
+  std::string jsonl, report;
+  RunTracedWorkload(&sim, &jsonl, &report);
+  // Names and args that need escaping survive the JSONL round trip too.
+  sim.tracer().Instant("app", "odd \"name\"\t\n", sim.Now(), 3,
+                       "{\"note\":\"a\\\\b\"}");
+  std::ostringstream dump;
+  sim.tracer().WriteJsonLines(dump);
+
+  std::istringstream in(dump.str());
+  TraceAnalysis parsed;
+  std::string error;
+  ASSERT_TRUE(parsed.ParseJsonLines(in, &error)) << error;
+  ASSERT_EQ(parsed.records().size(), sim.tracer().records().size());
+
+  std::ostringstream direct, reparsed;
+  WriteChromeTrace(direct, sim.tracer().records(), sim.tracer().dropped());
+  WriteChromeTrace(reparsed, parsed.records(), parsed.dropped());
+  EXPECT_EQ(reparsed.str(), direct.str());
+  EXPECT_NE(direct.str().find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(direct.str().find("odd \\\"name\\\"\\t\\n"),
+            std::string::npos);
+}
+
+/// Writes `text` to a file under the test temp dir; returns its path.
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  std::string path = ::testing::TempDir() + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+/// Runs the trace_analyze binary with `args`; returns its exit status.
+int RunTraceAnalyze(const std::string& args) {
+  std::string cmd = std::string(DMRPC_TRACE_ANALYZE) + " " + args +
+                    " > /dev/null 2>&1";
+  int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(TraceAnalyzeCliTest, ChromeRejectsGarbledTimelineWithExitTwo) {
+  Tracer t;
+  t.set_enabled(true);
+  t.EndSpan(t.BeginSpan("app", "app.request", 1000, 0), 5000);
+  std::ostringstream dump;
+  t.WriteJsonLines(dump);
+  std::string trace = WriteTempFile("cli.trace.jsonl", dump.str());
+  const std::string header =
+      "{\"timeline\":{\"interval_ns\":1000,\"windows\":1,"
+      "\"dropped_windows\":0}}\n";
+  const std::string window =
+      "{\"window\":0,\"start_ns\":0,\"end_ns\":1000,"
+      "\"events_executed\":4,\"live_tasks\":1,"
+      "\"counters\":{\"a\":{\"total\":3,\"delta\":3}},\"gauges\":{},"
+      "\"timers\":{},\"slo\":[]}\n";
+  std::string good = WriteTempFile("cli_good.timeline.jsonl", header + window);
+  std::string truncated = WriteTempFile("cli_truncated.timeline.jsonl",
+                                        header + window.substr(0, 50));
+  std::string garbled = WriteTempFile("cli_garbled.timeline.jsonl",
+                                      header + "{\"window\":0,oops}\n");
+
+  EXPECT_EQ(RunTraceAnalyze("--chrome " + trace), 0);
+  EXPECT_EQ(RunTraceAnalyze("--chrome " + trace + " " + good), 0);
+  EXPECT_EQ(RunTraceAnalyze("--chrome " + trace + " " + truncated), 2);
+  EXPECT_EQ(RunTraceAnalyze("--chrome " + trace + " " + garbled), 2);
 }
 
 TEST(TraceAnalysisTest, IdenticalSeedsProduceByteIdenticalReports) {
